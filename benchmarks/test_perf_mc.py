@@ -12,11 +12,6 @@ lists everywhere) and merges the results into ``BENCH_mc.json``:
   (>= 1.2x; the loop itself is GEMM-lowered since ``BENCH_conv.json``, so
   what remains amortizable across samples is im2col and per-layer call
   overhead, not elementwise traffic — the original 5x was vs einsum).
-- ``pool`` — the hybrid workers x stacked-S point: pool workers running
-  the vectorized chunked kernels over their shards
-  (``plan.worker_vectorized``) vs the same pool running legacy per-draw
-  loop workers. The hybrid must not be slower than the legacy pool it
-  replaced.
 - ``pool_vs_vectorized`` — the shm-transport pool vs the single-process
   vectorized engine on the same plan. With zero-copy transport the pool's
   per-run tax is fork + attach, not pickling the dataset and stacked
@@ -75,13 +70,12 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_mc.json"
 N_SAMPLES = 48
 SEED = 7
 TARGET_SPEEDUP = 1.2  # vectorized vs the GEMM-lowered loop; see docstring
-TARGET_POOL_SPEEDUP = 1.0  # hybrid workers must not lose to legacy workers
 POOL_WORKERS = 2
 # The pool is the large-S scale point, so it is benched in that regime:
 # each fresh worker pays a one-time allocator/first-touch warm-up on its
-# stacked buffers (~0.2s here) that only a large enough shard amortizes.
-# 144 samples = 72 per worker = 6 full 12-sample chunks — chunk-aligned
-# shards keep every stacked pass full-width.
+# stacked buffers (~0.2s here) that only enough chunks amortize.
+# 144 samples = 12 full 12-sample chunks, 6 per worker — the chunk size
+# divides the sample count, so every stacked pass is full-width.
 N_POOL_SAMPLES = 144
 POOL_CHUNK = 12
 # Zero-copy pool vs one vectorized process: the tentpole claim of the shm
@@ -186,91 +180,16 @@ def test_mc_vectorized_speedup(workbench, pairs):
     )
 
 
-def test_mc_hybrid_pool_speedup(workbench, pairs):
-    """The hybrid workers x stacked-S scale point.
-
-    Pool workers run the vectorized chunked kernels over their shard
-    whenever the plan says the model supports them; the legacy behaviour
-    (per-draw loop in every worker) is still reachable through
-    ``build_plan(worker_vectorized=False)`` precisely so this bench can
-    price the hybrid against what it replaced, on identical shards and
-    streams.
-    """
-    spec = pairs["lenet5-mnist"]
-    train, test = workbench.data("lenet5-mnist")
-    model = build_model(spec.model_name, train, width=spec.width, seed=0)
-    model.eval()  # plans are built against eval-mode models
-    variation = LogNormalVariation(0.5)
-
-    def pool_plan(worker_vectorized):
-        return build_plan(
-            model, test, variation,
-            n_samples=N_POOL_SAMPLES, seed=SEED,
-            n_workers=POOL_WORKERS,
-            chunk_samples=POOL_CHUNK,
-            worker_vectorized=worker_vectorized,
-        )
-
-    hybrid = pool_plan(True)
-    legacy = pool_plan(False)
-    assert hybrid.backend == legacy.backend == "pool"
-    assert hybrid.worker_vectorized and not legacy.worker_vectorized
-
-    # Correctness gates: both pool flavours are seed-paired with the
-    # serial reference loop (this also warms the worker-spawn path).
-    loop_plan = build_plan(
-        model, test, variation, n_samples=N_POOL_SAMPLES, seed=SEED
-    )
-    ref = execute(loop_plan, model, test)
-    hybrid_result = execute(hybrid, model, test)
-    legacy_result = execute(legacy, model, test)
-    assert hybrid_result.accuracies == ref.accuracies, (
-        "hybrid pool workers are not seed-paired with the reference loop"
-    )
-    assert legacy_result.accuracies == ref.accuracies, (
-        "legacy pool workers are not seed-paired with the reference loop"
-    )
-
-    rounds = []
-    speedup = 0.0
-    for _ in range(MAX_ROUNDS):
-        t_hybrid = _best_time(lambda: execute(hybrid, model, test), 3)
-        t_legacy = _best_time(lambda: execute(legacy, model, test), 3)
-        rounds.append({"pool_loop_s": t_legacy, "pool_hybrid_s": t_hybrid,
-                       "speedup": t_legacy / t_hybrid})
-        speedup = max(speedup, t_legacy / t_hybrid)
-        if speedup >= max(TARGET_POOL_SPEEDUP, 1.05):
-            break  # comfortably ahead; stop burning benchmark time
-
-    _merge_record("pool", {
-        "pair": spec.paper_name,
-        "n_samples": N_POOL_SAMPLES,
-        "n_workers": POOL_WORKERS,
-        "chunk_samples": hybrid.chunk_samples,
-        "pool_loop_s": min(r["pool_loop_s"] for r in rounds),
-        "pool_hybrid_s": min(r["pool_hybrid_s"] for r in rounds),
-        "speedup": speedup,
-        "target_speedup": TARGET_POOL_SPEEDUP,
-        "paired_accuracy_mean": float(np.mean(hybrid_result.accuracies)),
-        "rounds": rounds,
-    })
-
-    assert speedup >= TARGET_POOL_SPEEDUP, (
-        f"hybrid pool x vectorized at {speedup:.2f}x is slower than the "
-        f"legacy per-draw pool it replaced "
-        f"(rounds: {[round(r['speedup'], 2) for r in rounds]})"
-    )
-
-
 def test_mc_pool_vs_vectorized(workbench, pairs):
     """Shm-transport pool workers vs one vectorized process.
 
     The zero-copy transport exists so that a pool run's fixed cost is
-    fork + attach instead of serializing dataset and stacked planes into
-    every worker; with that tax gone, two workers over chunk-aligned
-    shards should beat the single-process stacked engine on any machine
-    that actually has two cores. The record lands in ``BENCH_mc.json``
-    either way; the >= 1.3x gate asserts only with >= 2 cores.
+    fork + attach instead of serializing the dataset and weights into
+    every worker; with that tax gone, two workers taking chunks in
+    schedule order should beat the single-process stacked engine on any
+    machine that actually has two cores. The record lands in
+    ``BENCH_mc.json`` either way; the >= 1.3x gate asserts only with >= 2
+    cores.
     """
     spec = pairs["lenet5-mnist"]
     train, test = workbench.data("lenet5-mnist")
@@ -286,7 +205,7 @@ def test_mc_pool_vs_vectorized(workbench, pairs):
         model, test, variation, n_samples=N_POOL_SAMPLES, seed=SEED,
         vectorized=True, chunk_samples=POOL_CHUNK,
     )
-    assert pool.backend == "pool" and pool.transport == "shm"
+    assert pool.backend == "pool"
     assert vec.backend == "vectorized"
 
     # Correctness gate (also warms both paths): seed-paired results.
@@ -313,8 +232,6 @@ def test_mc_pool_vs_vectorized(workbench, pairs):
         "n_samples": N_POOL_SAMPLES,
         "n_workers": POOL_WORKERS,
         "chunk_samples": pool.chunk_samples,
-        "transport": pool.transport,
-        "shm_planes": pool.shm_planes,
         "cpu_count": cores,
         "vectorized_s": min(r["vectorized_s"] for r in rounds),
         "pool_s": min(r["pool_s"] for r in rounds),

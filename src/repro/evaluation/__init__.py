@@ -18,7 +18,6 @@ from repro.evaluation.executor import (
     execute,
     IncrementalEvaluation,
     make_adapter,
-    reassemble_shards,
     ShmArena,
 )
 from repro.evaluation.autotune import autotune_plan
@@ -63,7 +62,6 @@ __all__ = [
     "execute",
     "make_adapter",
     "IncrementalEvaluation",
-    "reassemble_shards",
     "ShmArena",
     "StoppingRule",
     "FixedSamples",

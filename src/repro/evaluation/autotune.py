@@ -53,7 +53,10 @@ __all__ = ["autotune_plan", "Clock", "COST_MODEL_VERSION"]
 #: in the CLIs). The engine never calls one itself.
 Clock = Callable[[], float]
 
-COST_MODEL_VERSION = 1
+#: Persisted cost models carrying another version are discarded; bumped
+#: whenever the timed execution paths change (2: one in-order pool
+#: dispatcher replaced the shard dispatcher).
+COST_MODEL_VERSION = 2
 
 #: Probe sizes: draws per probe evaluation and the dataset-slice ceiling.
 #: Small enough that a cold autotune costs a few seconds once per

@@ -1,10 +1,10 @@
 """Executing an :class:`~repro.evaluation.plan.EvalPlan`.
 
-One generic driver per backend — loop, vectorized, pool — runs any plan;
-what used to distinguish the six Monte-Carlo engine bodies (plain vs
-analog, each times three backends) is now a **model adapter**: the one
-object that knows how to apply a draw (or a stacked chunk of draws) to the
-model and how to restore the model afterwards.
+Two generic drivers — in-process (loop and vectorized) and the pool —
+run any plan; what used to distinguish the six Monte-Carlo engine bodies
+(plain vs analog, each times three backends) is now a **model adapter**:
+the one object that knows how to apply a draw (or a stacked chunk of
+draws) to the model and how to restore the model afterwards.
 
 - :class:`WeightAdapter` — weight-domain models (plain, compensated). A
   draw is :meth:`VariationInjector.applied`; a chunk is ``stack_for`` +
@@ -23,31 +23,27 @@ the plan's seed schedule, in the same order — that single fact is the
 entire cross-backend bitwise contract, and it is now stated (and tested)
 once instead of per engine.
 
-The pool backend ships its inputs once per worker through the executor
-initializer and rebuilds the adapter in the worker; task payloads carry
-only ``(start, stop)`` sample spans (workers re-derive their rng streams
-from the plan's seed schedule — ``spawn_rngs`` is deterministic), so IPC
-is O(workers). Under the default ``"shm"`` transport the initializer
-ships a :class:`ShmArena` manifest plus a model pickle whose parameter
-arrays were swapped for empty stubs: the dataset, the nominal parameter
-planes and — when ``plan.shm_planes`` — every chunk's pre-drawn stacked
-perturbation planes live in one POSIX shared-memory segment that workers
-attach zero-copy instead of deserializing. The parent owns the segment
-and unlinks it in a ``finally`` around the pool, so normal exit, worker
-crash and adaptive cancellation all leave ``/dev/shm`` clean. The
-legacy ``"pickle"`` transport (everything through initializer pickles)
-remains for plans carrying live ``layers`` references and for
-benchmarking. Workers run the **vectorized stacked kernels over their
-shard's chunks** when the plan says the model supports it
-(``plan.worker_vectorized`` — the hybrid workers × stacked-S scale point
-recorded in ``BENCH_mc.json``), falling back to the per-draw reference
-loop otherwise; shards are aligned with the chunk schedule
-(``plan.worker_shards``), so a worker's stacked passes — and its
-pre-drawn plane regions — are exactly whole chunks. Shards may complete
-in any order; :func:`reassemble_shards` puts every draw back at its
-seed-schedule position, so ``MCResult.accuracies[i]`` is stream ``i``'s
-draw on every backend — the property downstream CI computation relies
-on.
+Every backend evaluates the same unit of work — one chunk of the plan's
+chunk schedule — through one step (:class:`_ChunkStep`): nominal
+replication when nothing is subject to variation, the stacked kernels
+when ``plan.stacked``, the per-draw reference loop otherwise. The
+in-process backends drive it through :class:`IncrementalEvaluation`; the
+pool runs it in worker processes.
+
+The pool has one dispatcher and one transport. The parent places the
+dataset and every nominal parameter plane in one POSIX shared-memory
+segment (:class:`ShmArena`) and ships workers its manifest plus a model
+pickle whose parameter arrays were swapped for empty stubs; workers
+attach the segment zero-copy instead of deserializing. The parent then
+submits one ``(start, stop)`` task per chunk, in schedule order, through
+a bounded window, and consumes results strictly in order — so
+``MCResult.accuracies[i]`` is stream ``i``'s draw on every backend, and
+the ``on_chunk`` hook and the stopping rule see exactly the prefixes the
+in-process backends show them. Workers re-derive their rng streams from
+the plan's seed schedule (``spawn_rngs`` is deterministic), so task
+payloads are O(1). The parent owns the segment and unlinks it in a
+``finally`` around the pool, so normal exit, worker crash and adaptive
+cancellation all leave ``/dev/shm`` clean.
 
 Eval dtype: a ``dtype="float32"`` plan evaluates a float32 *rounding* of
 the model — every parameter, buffer and image cast exactly once at run
@@ -58,32 +54,31 @@ from the float32-rounded nominal and cast once
 shapes, so the seed schedule is dtype-invariant and the bitwise pairing
 contract holds *per dtype* across all three backends.
 
-Sequential (adaptive) stopping: when the plan carries a
-``stopping`` rule, every backend evaluates chunk-by-chunk, re-checks the
-rule on the prefix of draws after each chunk — at chunk boundaries only,
-in seed-schedule order — and halts once it is satisfied. The in-process
-backends drive this through :class:`IncrementalEvaluation` (also the
-unit the sweep-level draw allocator schedules); the pool dispatches
-chunk tasks through a bounded submission window and consumes results in
-schedule order, discarding any chunks already in flight when the rule
-fires. The decision points and the per-draw state are identical
-everywhere, so the stop point is engine-invariant and an adaptive run's
-draws are a bitwise prefix of the fixed-S run on the same seed.
+Sequential (adaptive) stopping: when the plan carries a ``stopping``
+rule, it is re-checked on the prefix of draws after each chunk — at
+chunk boundaries only, in seed-schedule order, on every backend — and
+evaluation halts once it is satisfied; the pool discards any chunks
+already in flight. The decision points and the per-draw state are
+identical everywhere, so the stop point is engine-invariant and an
+adaptive run's draws are a bitwise prefix of the fixed-S run on the same
+seed.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import pickle
-from concurrent.futures import as_completed, Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import shared_memory
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     ContextManager,
+    Deque,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -279,8 +274,52 @@ def _cast_dataset(dataset: ArrayDataset, dtype: str) -> ArrayDataset:
 
 
 # ---------------------------------------------------------------------------
-# Backends
+# The chunk step
 # ---------------------------------------------------------------------------
+class _ChunkStep:
+    """The one per-chunk step every backend runs.
+
+    Evaluates draws ``[start, stop)`` of the plan's seed schedule against
+    ``model``/``dataset`` (both already in the eval dtype):
+
+    - nominal replication when nothing is subject to variation (a
+      deterministic plan, or an empty layer subset) — one nominal
+      accuracy, computed once and repeated for every draw;
+    - the stacked kernels over the whole span when ``plan.stacked`` —
+      one pass per data block for all its draws;
+    - otherwise the per-draw reference loop, one full sweep per draw.
+
+    Spans are slices of the one stream list, so pairing is structural:
+    draw ``i`` consumes stream ``i`` wherever chunk boundaries fall and
+    whichever process runs the step.
+    """
+
+    def __init__(
+        self, plan: EvalPlan, model: Module, dataset: ArrayDataset
+    ) -> None:
+        self.plan = plan
+        self.model = model
+        self.dataset = dataset
+        self.adapter: ModelAdapter = make_adapter(model, plan)
+        self.rngs: List[np.random.Generator] = (
+            [] if plan.deterministic else plan.draw_rngs()
+        )
+        self._nominal: Optional[float] = None
+
+    def __call__(self, start: int, stop: int) -> List[float]:
+        plan = self.plan
+        if plan.deterministic or not self.adapter.has_targets:
+            if self._nominal is None:
+                self._nominal = accuracy(
+                    self.model, self.dataset, plan.batch_size
+                )
+            return [self._nominal] * (stop - start)
+        run = _stacked_accuracies if plan.stacked else _loop_accuracies
+        return run(
+            self.model, self.dataset, self.adapter, plan, self.rngs[start:stop]
+        )
+
+
 def _loop_accuracies(
     model: Module,
     dataset: ArrayDataset,
@@ -303,23 +342,17 @@ def _stacked_accuracies(
     plan: EvalPlan,
     rngs: Sequence[np.random.Generator],
 ) -> List[float]:
-    """Stacked execution of ``rngs`` in ``chunk_samples``-sized chunks.
-
-    Chunks are slices of the caller's stream list, so pairing — and the
-    bitwise equality of chunked and unchunked runs — is structural: draw
-    ``i`` consumes stream ``i`` no matter where chunk boundaries fall.
-    """
-    accs: List[float] = []
-    for start in range(0, len(rngs), plan.chunk_samples):
-        chunk = rngs[start : start + plan.chunk_samples]
-        with adapter.apply_chunk(chunk):
-            stacked = stacked_accuracies(model, dataset, len(chunk), plan.data_block)
-        accs.extend(float(a) for a in stacked)
-    return accs
+    """Stacked execution: every draw of ``rngs`` (one chunk) installed at
+    once, one pass per data block."""
+    with adapter.apply_chunk(rngs):
+        stacked = stacked_accuracies(
+            model, dataset, len(rngs), plan.data_block
+        )
+    return [float(a) for a in stacked]
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory transport
+# The pool: shared-memory transport and workers
 # ---------------------------------------------------------------------------
 class ShmArena:
     """Many named numpy arrays in one POSIX shared-memory segment.
@@ -398,7 +431,7 @@ class ShmArena:
 
 
 def _stripped_payload(model: Module, plan: EvalPlan) -> bytes:
-    """The shm transport's pickle: ``(model, plan)`` with every parameter
+    """The workers' pickle: ``(model, plan)`` with every parameter
     array swapped for an empty stub (weight domain — workers re-point the
     parameters at the arena's nominal planes by name). Analog models are
     pickled whole: workers *program* their crossbar state per draw, so each
@@ -417,216 +450,80 @@ def _stripped_payload(model: Module, plan: EvalPlan) -> bytes:
             param.data = data
 
 
-@contextlib.contextmanager
-def _shm_transport(
-    plan: EvalPlan, model: Module, dataset: ArrayDataset
-) -> Iterator[Tuple[bytes, Dict[str, Any]]]:
-    """Build the arena + stripped payload for one pool run; always unlink.
-
-    Arena contents (all in the plan's eval dtype where floating):
-
-    - ``images`` / ``labels`` — the dataset, cast once by the parent;
-    - ``param:<name>`` — every parameter's nominal plane (weight domain);
-    - ``plane:<name>`` — all ``n_samples`` pre-drawn perturbation stacks
-      (``plan.shm_planes`` — the parent consumes the seed schedule through
-      the same :meth:`VariationInjector._draw` the workers would, so the
-      planes are bitwise what each worker would have drawn).
-
-    The ``finally`` is the crash-safety story: the parent created the
-    segment, so whether the pool exits cleanly, a worker SIGKILLs, or an
-    adaptive rule cancels in-flight chunks, leaving this context unlinks
-    the one and only segment.
-    """
-    specs: Dict[str, Tuple[str, Tuple[int, ...]]] = {
-        "images": (plan.dtype, tuple(dataset.images.shape)),
-        "labels": (str(dataset.labels.dtype), tuple(dataset.labels.shape)),
-    }
-    params = list(model.named_parameters()) if plan.domain == "weight" else []
-    for name, param in params:
-        specs[f"param:{name}"] = (plan.dtype, tuple(param.data.shape))
-    injector: Optional[VariationInjector] = None
-    if plan.shm_planes:
-        injector = VariationInjector(
-            model, plan.variation, plan.layers, plan.protection_masks, plan.dtype
-        )
-        for target_name, target, _ in injector._targets():
-            specs[f"plane:{target_name}"] = (
-                plan.dtype,
-                (plan.n_samples,) + tuple(target.data.shape),
-            )
-    arena = ShmArena.create(specs)
-    try:
-        arena.array("images")[...] = dataset.images
-        arena.array("labels")[...] = dataset.labels
-        for name, param in params:
-            arena.array(f"param:{name}")[...] = param.data
-        if injector is not None:
-            injector.stack_into(
-                plan.draw_rngs(),
-                {
-                    key[len("plane:") :]: arena.array(key)
-                    for key in arena.keys()
-                    if key.startswith("plane:")
-                },
-            )
-        yield _stripped_payload(model, plan), arena.manifest
-    finally:
-        arena.close()
-        arena.unlink()
-
-
-#: Per-worker state installed by the pool initializers — the initializer
-#: runs once per worker process, so the model/dataset (or the arena
-#: mapping) cross the IPC boundary once per worker instead of per task.
+#: Per-worker state installed by :func:`_init_worker` — the initializer
+#: runs once per worker process, so the model and the arena mapping cross
+#: the IPC boundary once per worker instead of per task.
 _POOL_STATE: Dict[str, Any] = {}
 
 
-def _install_pool_state(
-    model: Module,
-    dataset: ArrayDataset,
-    plan: EvalPlan,
-    planes: Optional[Dict[str, npt.NDArray[Any]]],
-) -> None:
-    _POOL_STATE["model"] = model
-    _POOL_STATE["dataset"] = dataset
-    _POOL_STATE["plan"] = plan
-    _POOL_STATE["adapter"] = make_adapter(model, plan)
-    _POOL_STATE["planes"] = planes
-    # Workers re-derive rng streams from the plan instead of receiving
-    # them in task payloads: spawn_rngs is deterministic, so stream i here
-    # is bitwise stream i everywhere.
-    _POOL_STATE["rngs"] = [] if plan.deterministic else plan.draw_rngs()
+def _init_worker(payload: bytes, manifest: Dict[str, Any]) -> None:
+    """Attach the arena and build this worker's chunk step on it.
 
-
-def _pool_init(model: Module, dataset: ArrayDataset, plan: EvalPlan) -> None:
-    """Pickle-transport initializer: rebuild adapter and context.
-
-    The model, layer subset and masks travel inside one pickle (the plan
-    carries layers/masks) so object identity between ``plan.layers``
-    entries and modules inside ``model`` survives the round-trip. Analog
-    adapters resolve their per-layer specs here, against this worker's
-    copy of the module tree.
-    """
-    if plan.dtype != "float64":
-        _cast_model(model, plan.dtype)
-        dataset = _cast_dataset(dataset, plan.dtype)
-    _install_pool_state(model, dataset, plan, planes=None)
-
-
-def _pool_init_shm(payload: bytes, manifest: Dict[str, Any]) -> None:
-    """Shm-transport initializer: attach the arena, re-point state at it.
-
-    The worker's dataset images, nominal parameter planes and (when
-    pre-drawn) perturbation stacks are views of the parent's segment —
-    nothing is copied. All of those are read-only by contract: the
-    injector *replaces* ``Parameter.data`` references (never writes in
-    place) and restores them, so many workers safely share one mapping.
+    The worker's dataset images and nominal parameter planes are views of
+    the parent's segment — nothing is copied. Both are read-only by
+    contract: the injector *replaces* ``Parameter.data`` references
+    (never writes in place) and restores them, so many workers safely
+    share one mapping. ``plan.layers`` travels inside the same pickle as
+    the model, so the subset keeps its identity with the model's modules.
     Buffers arrive through the pickle in float64 and are cast here for
-    float32 plans (tiny: batch-norm statistics). The arena mapping is
-    kept alive in the worker for its whole life; worker exit releases it,
-    and the parent owns the unlink.
+    float32 plans (tiny: batch-norm statistics). The arena mapping lives
+    as long as the worker; the parent owns the unlink.
     """
     arena = ShmArena.attach(manifest)
-    _POOL_STATE["arena"] = arena
     model, plan = cast(
         Tuple[Module, EvalPlan], pickle.loads(payload)  # noqa: S301 - own bytes
     )
     if plan.dtype != "float64":
         _cast_model(model, plan.dtype)
-    dataset = ArrayDataset.from_views(arena.array("images"), arena.array("labels"))
     if plan.domain == "weight":
-        named = dict(model.named_parameters())
-        for key in arena.keys():
-            if key.startswith("param:"):
-                named[key[len("param:") :]].data = arena.array(key)
-    planes: Optional[Dict[str, npt.NDArray[Any]]] = None
-    if plan.shm_planes:
-        planes = {
-            key[len("plane:") :]: arena.array(key)
-            for key in arena.keys()
-            if key.startswith("plane:")
-        }
-    _install_pool_state(model, dataset, plan, planes)
+        for name, param in model.named_parameters():
+            param.data = arena.array(f"param:{name}")
+    dataset = ArrayDataset.from_views(
+        arena.array("images"), arena.array("labels")
+    )
+    _POOL_STATE["arena"] = arena
+    _POOL_STATE["step"] = _ChunkStep(plan, model, dataset)
 
 
 def _pool_span(start: int, stop: int) -> List[float]:
-    """Evaluate the draws of one chunk-aligned ``[start, stop)`` span.
-
-    The task payload is just the span; model, dataset, plan, adapter and
-    seed schedule live in :data:`_POOL_STATE` since the initializer. Runs
-    the stacked kernels chunk by chunk when the plan allows (hybrid pool x
-    vectorized) — reading pre-drawn planes straight out of the arena when
-    the parent provided them, drawing from the span's own streams
-    otherwise — else the per-draw reference loop. Either way draw ``i``
-    is stream ``i``'s, bitwise.
-    """
-    model = cast(Module, _POOL_STATE["model"])
-    dataset = cast(ArrayDataset, _POOL_STATE["dataset"])
-    plan = cast(EvalPlan, _POOL_STATE["plan"])
-    adapter = cast(ModelAdapter, _POOL_STATE["adapter"])
-    planes = cast(
-        Optional[Dict[str, npt.NDArray[Any]]], _POOL_STATE.get("planes")
-    )
-    rngs = cast(List[np.random.Generator], _POOL_STATE["rngs"])[start:stop]
-    with adapter.run_context():
-        if plan.worker_vectorized and adapter.has_targets:
-            if planes is not None:
-                injector = cast(WeightAdapter, adapter).injector
-                accs: List[float] = []
-                for chunk_start in range(start, stop, plan.chunk_samples):
-                    chunk_stop = min(chunk_start + plan.chunk_samples, stop)
-                    stacked = {
-                        name: plane[chunk_start:chunk_stop]
-                        for name, plane in planes.items()
-                    }
-                    with injector.applied_stack(stacked):
-                        chunk_accs = stacked_accuracies(
-                            model, dataset, chunk_stop - chunk_start, plan.data_block
-                        )
-                    accs.extend(float(a) for a in chunk_accs)
-                return accs
-            return _stacked_accuracies(model, dataset, adapter, plan, rngs)
-        return _loop_accuracies(model, dataset, adapter, plan, rngs)
+    """Evaluate one chunk ``[start, stop)`` in a worker (the task body)."""
+    step = cast(_ChunkStep, _POOL_STATE["step"])
+    with step.adapter.run_context():
+        return step(start, stop)
 
 
 @contextlib.contextmanager
 def _pool(
     plan: EvalPlan, model: Module, dataset: ArrayDataset, max_workers: int
 ) -> Iterator[ProcessPoolExecutor]:
-    """A worker pool initialized per the plan's transport, cleaned up
-    (shutdown, then arena unlink) however the body exits."""
-    if plan.transport == "pickle":
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_pool_init,
-            initargs=(model, dataset, plan),
-        ) as pool:
-            yield pool
-        return
-    with _shm_transport(plan, model, dataset) as (payload, manifest):
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_pool_init_shm,
-            initargs=(payload, manifest),
-        ) as pool:
-            yield pool
+    """A worker pool attached to a fresh arena; cleaned up (shutdown,
+    then unlink) however the body exits.
 
-
-def reassemble_shards(parts: Iterable[Tuple[int, List[float]]]) -> List[float]:
-    """Shard results back into seed-schedule order.
-
-    Pool shards may complete in any order; each carries its shard index,
-    and concatenating by index restores ``accuracies[i] == stream i``
-    exactly — the ordering downstream statistics (mean, std, confidence
-    intervals) rely on being backend-invariant. Raises if the indices are
-    not exactly ``0..n-1``, since a missing or duplicated shard would
-    silently misalign every later draw.
+    Arena contents, floating entries in the plan's eval dtype: ``images``
+    / ``labels`` (the dataset, cast once by the parent) and, in the
+    weight domain, ``param:<name>`` (every parameter's nominal plane).
+    Leaving the arena's context unlinks the one and only segment, whether
+    the pool exits cleanly, a worker SIGKILLs, or an adaptive rule
+    cancels in-flight chunks.
     """
-    ordered = sorted(parts, key=lambda pair: pair[0])
-    indices = [index for index, _ in ordered]
-    if indices != list(range(len(indices))):
-        raise ValueError(f"shard indices must be 0..n-1, got {indices}")
-    return [acc for _, accs in ordered for acc in accs]
+    params = list(model.named_parameters()) if plan.domain == "weight" else []
+    specs: Dict[str, Tuple[str, Tuple[int, ...]]] = {
+        "images": (plan.dtype, tuple(dataset.images.shape)),
+        "labels": (str(dataset.labels.dtype), tuple(dataset.labels.shape)),
+    }
+    for name, param in params:
+        specs[f"param:{name}"] = (plan.dtype, tuple(param.data.shape))
+    with ShmArena.create(specs) as arena:
+        arena.array("images")[...] = dataset.images
+        arena.array("labels")[...] = dataset.labels
+        for name, param in params:
+            arena.array(f"param:{name}")[...] = param.data
+        with ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_init_worker,
+            initargs=(_stripped_payload(model, plan), arena.manifest),
+        ) as pool:
+            yield pool
 
 
 def _result(plan: EvalPlan, accuracies: List[float]) -> "MCResult":
@@ -661,10 +558,10 @@ ChunkHook = Callable[[int, int, int, Sequence[float]], None]
 class IncrementalEvaluation:
     """Resumable chunk-by-chunk in-process execution of one plan.
 
-    The unit of sequential evaluation: holds the plan's seed schedule and
-    chunk bounds, evaluates one chunk per :meth:`run_chunk` call (stacked
-    when the plan is vectorized, per-draw otherwise), and consults the
-    plan's stopping rule on the accumulated prefix after every chunk.
+    The unit of sequential evaluation: holds the plan's chunk bounds,
+    evaluates one chunk per :meth:`run_chunk` call through the shared
+    chunk step (the same one pool workers run), and consults the plan's
+    stopping rule on the accumulated prefix after every chunk.
     Satisfies the :class:`~repro.evaluation.sequential.SequentialPoint`
     protocol, so the sweep-level allocator can interleave chunks across
     many of these against one shared budget — each instance's draws stay a
@@ -690,20 +587,15 @@ class IncrementalEvaluation:
     ) -> None:
         self.plan = plan
         self.model = model
-        self.dataset = _cast_dataset(dataset, plan.dtype)
         self.on_chunk = on_chunk
         self.accuracies: List[float] = []
-        self.adapter: ModelAdapter = make_adapter(model, plan)
-        if plan.deterministic:
-            # One nominal draw is the entire schedule.
-            self._bounds: Sequence[Tuple[int, int]] = ((0, 1),)
-            self._rngs: List[np.random.Generator] = []
-        else:
-            self._bounds = plan.chunks()
-            self._rngs = list(plan.draw_rngs())
+        self._step = _ChunkStep(
+            plan, model, _cast_dataset(dataset, plan.dtype)
+        )
+        # A deterministic plan's one nominal draw is the entire schedule.
+        self._bounds = ((0, 1),) if plan.deterministic else plan.chunks()
         self._next = 0
         self._stopped = False
-        self._nominal: Optional[float] = None
         self._ctx: Optional[ContextManager[object]] = None
 
     @property
@@ -751,7 +643,7 @@ class IncrementalEvaluation:
     def __enter__(self) -> "IncrementalEvaluation":
         stack = contextlib.ExitStack()
         stack.enter_context(_dtype_scope(self.model, self.plan.dtype))
-        stack.enter_context(self.adapter.run_context())
+        stack.enter_context(self._step.adapter.run_context())
         self._ctx = stack
         return self
 
@@ -769,35 +661,10 @@ class IncrementalEvaluation:
         """
         if self.done:
             return 0
-        start, stop = self._bounds[self._next]
         index = self._next
+        start, stop = self._bounds[index]
         self._next += 1
-        if self.plan.deterministic:
-            self.accuracies.append(
-                accuracy(self.model, self.dataset, self.plan.batch_size)
-            )
-        elif self.plan.backend == "vectorized" and not self.adapter.has_targets:
-            # No target parameters (e.g. empty layer subset): every sample
-            # sees nominal weights, matching what the loop would measure.
-            if self._nominal is None:
-                self._nominal = accuracy(
-                    self.model, self.dataset, self.plan.batch_size
-                )
-            self.accuracies.extend([self._nominal] * (stop - start))
-        else:
-            chunk = self._rngs[start:stop]
-            if self.plan.backend == "vectorized":
-                self.accuracies.extend(
-                    _stacked_accuracies(
-                        self.model, self.dataset, self.adapter, self.plan, chunk
-                    )
-                )
-            else:
-                self.accuracies.extend(
-                    _loop_accuracies(
-                        self.model, self.dataset, self.adapter, self.plan, chunk
-                    )
-                )
+        self.accuracies.extend(self._step(start, stop))
         if self.on_chunk is not None:
             self.on_chunk(index, start, stop, self.accuracies[start - stop :])
         rule = self.plan.stopping
@@ -810,59 +677,40 @@ class IncrementalEvaluation:
         return _result(self.plan, self.accuracies)
 
 
-def _run_pool(plan: EvalPlan, model: Module, dataset: ArrayDataset) -> "MCResult":
-    """Fan the plan's shards out over worker processes.
-
-    Shards are submitted all at once and collected as they complete;
-    :func:`reassemble_shards` restores seed-schedule order afterwards, so
-    completion order — which depends on OS scheduling — never leaks into
-    the result.
-    """
-    shards = plan.worker_shards()
-    with _pool(plan, model, dataset, max_workers=len(shards)) as pool:
-        futures = {
-            pool.submit(_pool_span, start, stop): index
-            for index, (start, stop) in enumerate(shards)
-        }
-        parts = [(futures[f], f.result()) for f in as_completed(futures)]
-    return _result(plan, reassemble_shards(parts))
-
-
-def _run_pool_adaptive(
-    plan: EvalPlan, model: Module, dataset: ArrayDataset
+def _run_pool(
+    plan: EvalPlan,
+    model: Module,
+    dataset: ArrayDataset,
+    on_chunk: Optional[ChunkHook],
 ) -> "MCResult":
-    """Sequential stopping over the pool backend.
+    """The pool backend: chunk tasks in schedule order, results in order.
 
-    Chunk tasks (not worker shards — decisions happen at chunk
-    boundaries) are dispatched in schedule order through a bounded
-    submission window and their results consumed strictly in order, so
-    the stopping rule sees exactly the same prefixes at the same draw
-    counts as the in-process backends. Chunks still in flight when the
-    rule fires are discarded, never appended — completion order cannot
-    change the result, only how much speculative work is thrown away.
+    One task per chunk is submitted in schedule order through a bounded
+    window of ``2 * workers`` in flight, and results are consumed strictly
+    in order — so ``on_chunk`` and the stopping rule (``None`` for a fixed
+    plan: it never fires) see exactly the prefixes, at exactly the draw
+    counts, the in-process backends show them. Chunks still in flight
+    when the rule fires are discarded, never appended: completion order
+    cannot change the result, only how much speculative work is thrown
+    away.
     """
-    rule = plan.stopping
-    assert rule is not None  # caller dispatches on this
     bounds = plan.chunks()
+    rule = plan.stopping
     accs: List[float] = []
     max_workers = min(plan.n_workers, len(bounds))
     window = 2 * max_workers
     with _pool(plan, model, dataset, max_workers=max_workers) as pool:
-        pending: Dict[int, "Future[List[float]]"] = {}
-        next_submit = 0
-
-        def submit_until(limit: int) -> None:
-            nonlocal next_submit
-            while next_submit < min(limit, len(bounds)):
-                start, stop = bounds[next_submit]
-                pending[next_submit] = pool.submit(_pool_span, start, stop)
-                next_submit += 1
-
-        for index in range(len(bounds)):
-            submit_until(index + window)
-            accs.extend(pending.pop(index).result())
-            if rule.satisfied(accs):
-                for future in pending.values():
+        tasks = iter(bounds)
+        pending: Deque["Future[List[float]]"] = collections.deque()
+        for index, (start, stop) in enumerate(bounds):
+            for span in itertools.islice(tasks, window - len(pending)):
+                pending.append(pool.submit(_pool_span, *span))
+            chunk = pending.popleft().result()
+            accs.extend(chunk)
+            if on_chunk is not None:
+                on_chunk(index, start, stop, chunk)
+            if rule is not None and rule.satisfied(accs):
+                for future in pending:
                     future.cancel()
                 break
     return _result(plan, accs)
@@ -885,32 +733,12 @@ def execute(
     nominal evaluation. Plans carrying a stopping rule run chunk-by-chunk
     and may halt before the ``n_samples`` cap (``MCResult.stopped_early``).
 
-    ``on_chunk`` streams each chunk's draws to the caller as it lands (the
-    result store persists restart points through it). Only the in-process
-    backends evaluate chunks in schedule order in this process, so the
-    hook is rejected on the pool backend rather than delivering shards
-    out of order or from worker processes.
+    ``on_chunk`` streams each chunk's draws to the caller as it lands, in
+    schedule order and from this process on every backend (the result
+    store persists restart points through it).
     """
-    if on_chunk is not None and plan.backend == "pool" and not plan.deterministic:
-        raise ValueError(
-            "on_chunk streams chunks in schedule order from this process; "
-            "the pool backend completes shards out of order in workers — "
-            "use an in-process backend (loop/vectorized) for streaming"
-        )
-    if plan.deterministic and on_chunk is None:
-        with _dtype_scope(model, plan.dtype):
-            return _result(
-                plan,
-                [
-                    accuracy(
-                        model, _cast_dataset(dataset, plan.dtype), plan.batch_size
-                    )
-                ],
-            )
     if plan.backend == "pool" and not plan.deterministic:
-        if plan.stopping is not None:
-            return _run_pool_adaptive(plan, model, dataset)
-        return _run_pool(plan, model, dataset)
+        return _run_pool(plan, model, dataset, on_chunk)
     evaluation = IncrementalEvaluation(plan, model, dataset, on_chunk=on_chunk)
     with evaluation:
         while not evaluation.done:

@@ -173,7 +173,7 @@ class VariationInjector:
     ) -> np.ndarray:
         """One draw for one parameter — the *only* sampling site.
 
-        Every consumer (loop, stacked, pool workers, pre-drawn shm planes)
+        Every consumer (loop, stacked, pool workers, :meth:`stack_into`)
         goes through here, which is what makes the per-dtype pairing
         contract a single-point invariant: float64 perturbs the nominal
         directly (bit-identical to every historical run); float32 perturbs

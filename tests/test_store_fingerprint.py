@@ -103,7 +103,6 @@ class TestFingerprintInvariant:
             dict(batch_size=7),
             dict(data_block=3),
             dict(default_chunk=2),
-            dict(worker_vectorized=False),
         ]
         for knobs in knob_variants:
             plan = _plan(model, dataset, **knobs)

@@ -235,11 +235,37 @@ class TestIncrementalResume:
         with pytest.raises(ValueError, match="extends past"):
             ev.resume([0.5] * 8)
 
-    def test_on_chunk_rejected_on_pool_backend(self, mlp, blob_dataset):
-        plan = self._plan(mlp, blob_dataset, vectorized=False, n_workers=2)
+    @pytest.mark.parametrize("stopping", [
+        dict(),                                  # fixed: full schedule
+        dict(tolerance=0.49, min_samples=4),     # adaptive: stops early
+    ], ids=["fixed", "adaptive"])
+    def test_pool_on_chunk_streams_in_schedule_order(
+        self, mlp, blob_dataset, stopping
+    ):
+        """The pool consumes chunk results in schedule order in the
+        parent, so its hook calls look exactly like the in-process ones:
+        consecutive indices, contiguous spans, and draws that concatenate
+        to ``result.accuracies`` — through an adaptive stop too."""
+        plan = self._plan(
+            mlp, blob_dataset, vectorized=False, n_workers=2, **stopping
+        )
         assert plan.backend == "pool"
-        with pytest.raises(ValueError, match="pool backend"):
-            execute(plan, mlp, blob_dataset, on_chunk=lambda *a: None)
+        seen = []
+        result = execute(
+            plan, mlp, blob_dataset,
+            on_chunk=lambda i, s, t, a: seen.append((i, s, t, list(a))),
+        )
+        assert [i for i, *_ in seen] == list(range(len(seen)))
+        assert [(s, t) for _, s, t, _ in seen] == list(
+            plan.chunks()[: len(seen)]
+        )
+        streamed = [a for *_, accs in seen for a in accs]
+        assert streamed == result.accuracies
+        in_process = execute(
+            self._plan(mlp, blob_dataset, **stopping), mlp, blob_dataset
+        )
+        assert result.accuracies == in_process.accuracies
+        assert result.stopped_early == bool(stopping)
 
     def test_streamed_chunks_reassemble_the_full_run(self, mlp, blob_dataset):
         plan = self._plan(mlp, blob_dataset)
