@@ -50,7 +50,7 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_parents", "_op")
 
     def __init__(
         self,
@@ -67,9 +67,22 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward_fn: Optional[Callable[[], None]] = None
         self._parents: Tuple[Tensor, ...] = _parents if is_grad_enabled() else ()
         self._op: str = _op
+
+    @property
+    def _backward(self) -> Optional[Callable[[], None]]:
+        """The closure adding ``self.grad`` into the parents' gradients."""
+        return self._backward_fn
+
+    @_backward.setter
+    def _backward(self, fn: Optional[Callable[[], None]]) -> None:
+        # Every op's closure refers to its output; kept on a tensor no
+        # gradient can reach (under no_grad, or off the tape), it would only
+        # pin the output and its inputs in a reference cycle until the
+        # cyclic collector runs.
+        self._backward_fn = fn if self.requires_grad else None
 
     # ------------------------------------------------------------------
     # Introspection

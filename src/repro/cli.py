@@ -32,29 +32,25 @@ from typing import List, Optional
 from repro.core.config import fast_pipeline_config
 from repro.core.pipeline import CorrectNet
 from repro.core.training import Trainer
-from repro.data import synth_cifar10, synth_cifar100, synth_mnist
 from repro.evaluation.metrics import accuracy
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.lipschitz.bounds import lambda_bound
 from repro.lipschitz.regularizer import OrthogonalityRegularizer
 from repro.models.registry import build_model
 from repro.optim.optimizers import Adam
+from repro.store.jobs import DATASET_FACTORIES
 from repro.utils.logging import set_verbosity
 from repro.utils.tables import format_table
 from repro.variation.models import LogNormalVariation, VariationModel
 from repro.variation.spec import parse_spec, to_string
 
-_DATASETS = {
-    "synth_mnist": synth_mnist,
-    "synth_cifar10": synth_cifar10,
-    "synth_cifar100": synth_cifar100,
-}
-
 
 def _load_data(name: str):
-    if name not in _DATASETS:
-        raise SystemExit(f"unknown dataset {name!r}; choose from {list(_DATASETS)}")
-    return _DATASETS[name]()
+    if name not in DATASET_FACTORIES:
+        raise SystemExit(
+            f"unknown dataset {name!r}; choose from {list(DATASET_FACTORIES)}"
+        )
+    return DATASET_FACTORIES[name]()
 
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
@@ -63,7 +59,9 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         default="lenet5",
         help="lenet5|vgg16|vgg11|vgg16bn|vgg11bn|resnet8|resnet8bn|attnmlp|mlp",
     )
-    parser.add_argument("--dataset", default="synth_mnist", help=f"{list(_DATASETS)}")
+    parser.add_argument(
+        "--dataset", default="synth_mnist", help=f"{list(DATASET_FACTORIES)}"
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--verbose", action="store_true")
 
@@ -384,8 +382,8 @@ def search_main(argv: Optional[List[str]] = None) -> int:
 def jobs_main(argv: Optional[List[str]] = None) -> int:
     """``correctnet-jobs``: submit/run/status/gc against a result store.
 
-    Imported lazily so plain train/eval invocations never pay for (or
-    depend on) the store package.
+    The store CLI is imported lazily: train/eval only share the store's
+    dataset registry.
     """
     from repro.store.cli import jobs_main as real_jobs_main
 

@@ -18,9 +18,12 @@ included — through plain JSON-able dicts.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.data.dataset import ArrayDataset
+from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.variation.models import LogNormalVariation, VariationModel
 
 
@@ -115,6 +118,42 @@ class EvalConfig:
     # directly, no store file involved.
     store_path: Optional[str] = None
 
+    def evaluator(self, dataset: ArrayDataset, n_samples: int) -> MonteCarloEvaluator:
+        """The Monte-Carlo engine this config describes, over ``dataset``.
+
+        The one place an ``EvalConfig`` becomes an evaluator: the
+        pipeline's evaluations and the RL reward both come from here.
+        ``chunk_samples`` is the default stacked-chunk size; a configured
+        ``memory_budget_mb`` derives the chunk from a byte budget instead.
+        ``autotune`` swaps the static knobs for the measured cost model —
+        the wall clock and cache path are resolved here (core is outside
+        the deterministic engine dirs) and injected.
+        """
+        autotune_kwargs: Dict[str, Any] = {}
+        if self.autotune:
+            from repro.utils.cache import default_autotune_cache
+
+            autotune_kwargs = dict(
+                autotune=True,
+                clock=time.perf_counter,
+                autotune_cache=default_autotune_cache(),
+            )
+        return MonteCarloEvaluator(
+            dataset,
+            n_samples=n_samples,
+            seed=self.seed,
+            vectorized=self.vectorized,
+            n_workers=self.n_workers,
+            sample_chunk=self.chunk_samples,
+            memory_budget_mb=self.memory_budget_mb,
+            tolerance=self.tolerance,
+            min_samples=self.min_samples,
+            ci_confidence=self.ci_confidence,
+            ci_method=self.ci_method,
+            dtype=self.dtype,
+            **autotune_kwargs,
+        )
+
 
 @dataclass
 class PipelineConfig:
@@ -168,17 +207,13 @@ class PipelineConfig:
         for key in ("ratio_choices", "overhead_limits"):
             if key in rl_kwargs:
                 rl_kwargs[key] = tuple(rl_kwargs[key])
-        eval_kwargs = dict(payload.get("eval", {}))
-        if "sample_chunk" in eval_kwargs:
-            # Pre-plan/executor records called the chunk knob sample_chunk.
-            eval_kwargs["chunk_samples"] = eval_kwargs.pop("sample_chunk")
         return cls(
             sigma=payload.get("sigma", 0.5),
             variation=payload.get("variation"),
             train=TrainConfig(**payload.get("train", {})),
             compensation=CompensationConfig(**payload.get("compensation", {})),
             rl=RLConfig(**rl_kwargs),
-            eval=EvalConfig(**eval_kwargs),
+            eval=EvalConfig(**payload.get("eval", {})),
         )
 
 

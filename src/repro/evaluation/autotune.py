@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.plan import build_plan, EvalPlan
-from repro.evaluation.sequential import StoppingRule
 from repro.evaluation.vectorized import supports_sample_axis
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike
@@ -240,12 +239,7 @@ def autotune_plan(
     dtype: str = "float64",
     clock: Optional[Clock] = None,
     cache_path: Optional[Path] = None,
-    batch_size: int = 256,
-    tolerance: Optional[float] = None,
-    min_samples: Optional[int] = None,
-    ci_confidence: float = 0.95,
-    ci_method: str = "clt",
-    stopping: Optional[StoppingRule] = None,
+    **logical: Any,
 ) -> EvalPlan:
     """A measured :class:`EvalPlan`: execution knobs chosen by cost model.
 
@@ -258,12 +252,14 @@ def autotune_plan(
     3. otherwise a static heuristic — vectorized for sample-aware models,
        a pool on multi-core machines for the rest, else the loop.
 
-    The logical evaluation (spec, seed schedule, S cap, dtype, stopping
-    rule) is exactly what ``build_plan`` would produce — only the
-    execution knobs the store fingerprint already excludes differ, so a
-    tuned plan's results are bitwise those of any untuned plan of the
-    same evaluation at the same dtype. The decision and its predicted
-    costs land in ``backend_reason``.
+    Only the execution knobs (``vectorized``, ``n_workers``,
+    ``chunk_samples``, ``data_block``) are chosen here; they and the
+    ``logical`` arguments (``batch_size``, stopping rule / CI settings),
+    passed through unchanged, feed one ``build_plan`` call. The store
+    fingerprint excludes exactly those knobs, so a tuned plan's results
+    are bitwise those of any untuned plan of the same evaluation at the
+    same dtype. The decision and its predicted costs land in
+    ``backend_reason``.
     """
     key = _workload_key(model, dataset, dtype)
     entries: Dict[str, Any] = (
@@ -286,51 +282,35 @@ def autotune_plan(
             save_cost_model(cache_path, entries)
             source = f"measured now -> {cache_path.name}, {key}"
 
-    adaptive: Dict[str, Any] = dict(
-        tolerance=tolerance, min_samples=min_samples,
-        ci_confidence=ci_confidence, ci_method=ci_method, stopping=stopping,
-    )
     if entry is not None:
         backend, summary = _choose(entry, n_samples, len(dataset))
-        plan = build_plan(
-            model, dataset, variation,
-            n_samples=n_samples, seed=seed, dtype=dtype, batch_size=batch_size,
+        knobs: Dict[str, Any] = dict(
             vectorized=backend == "vectorized",
             n_workers=int(entry["n_workers"]) if backend == "pool" else 0,
             chunk_samples=int(entry["chunk_samples"]),
             data_block=int(entry["data_block"]),
-            **adaptive,
         )
-        reason = (
-            f"autotuned ({source}): {backend} predicted fastest ({summary}) "
-            f"at S={n_samples} x {len(dataset)} images; chunk="
-            f"{plan.chunk_samples} block={plan.data_block}"
-            + (f" workers={plan.n_workers}" if plan.backend == "pool" else "")
+        why = (
+            f"{source}: predicted {summary} at S={n_samples} x "
+            f"{len(dataset)} images"
         )
     else:
         cpus = os.cpu_count() or 1
-        if supports_sample_axis(model):
-            plan = build_plan(
-                model, dataset, variation,
-                n_samples=n_samples, seed=seed, dtype=dtype,
-                batch_size=batch_size, vectorized=True, **adaptive,
-            )
-        elif cpus >= 2:
-            plan = build_plan(
-                model, dataset, variation,
-                n_samples=n_samples, seed=seed, dtype=dtype,
-                batch_size=batch_size, n_workers=min(cpus, 4), **adaptive,
-            )
-        else:
-            plan = build_plan(
-                model, dataset, variation,
-                n_samples=n_samples, seed=seed, dtype=dtype,
-                batch_size=batch_size, **adaptive,
-            )
-        reason = (
-            f"autotuned (heuristic — no clock injected and no cached cost "
-            f"model for {key}): {plan.backend}"
+        sample_aware = supports_sample_axis(model)
+        knobs = dict(
+            vectorized=sample_aware,
+            n_workers=min(cpus, 4) if cpus >= 2 and not sample_aware else 0,
         )
+        why = f"heuristic — no clock injected and no cached cost model for {key}"
+    plan = build_plan(
+        model, dataset, variation,
+        n_samples=n_samples, seed=seed, dtype=dtype, **knobs, **logical,
+    )
+    reason = (
+        f"autotuned ({why}): {plan.backend} chunk={plan.chunk_samples} "
+        f"block={plan.data_block}"
+        + (f" workers={plan.n_workers}" if plan.backend == "pool" else "")
+    )
     if plan.backend_reason:
         reason = f"{reason}; {plan.backend_reason}"
     return replace(plan, backend_reason=reason)

@@ -1,10 +1,10 @@
 """Executing an :class:`~repro.evaluation.plan.EvalPlan`.
 
-Two generic drivers — in-process (loop and vectorized) and the pool —
-run any plan; what used to distinguish the six Monte-Carlo engine bodies
-(plain vs analog, each times three backends) is now a **model adapter**:
-the one object that knows how to apply a draw (or a stacked chunk of
-draws) to the model and how to restore the model afterwards.
+One driver, :class:`IncrementalEvaluation`, runs every plan; what used to
+distinguish the six Monte-Carlo engine bodies (plain vs analog, each
+times three backends) is now a **model adapter**: the one object that
+knows how to apply a draw (or a stacked chunk of draws) to the model and
+how to restore the model afterwards.
 
 - :class:`WeightAdapter` — weight-domain models (plain, compensated). A
   draw is :meth:`VariationInjector.applied`; a chunk is ``stack_for`` +
@@ -24,25 +24,27 @@ entire cross-backend bitwise contract, and it is now stated (and tested)
 once instead of per engine.
 
 Every backend evaluates the same unit of work — one chunk of the plan's
-chunk schedule — through one step (:class:`_ChunkStep`): nominal
-replication when nothing is subject to variation, the stacked kernels
-when ``plan.stacked``, the per-draw reference loop otherwise. The
-in-process backends drive it through :class:`IncrementalEvaluation`; the
-pool runs it in worker processes.
+chunk schedule — through :class:`_ChunkStep`: nominal replication when
+nothing is subject to variation, the stacked kernels when
+``plan.stacked``, the per-draw reference loop otherwise. The driver sees
+one of two chunk steps of the same shape, ``(start, stop) ->
+accuracies`` plus a run scope: :class:`_ChunkStep` itself in-process, or
+:class:`_PoolStep`, which runs it in worker processes.
 
-The pool has one dispatcher and one transport. The parent places the
-dataset and every nominal parameter plane in one POSIX shared-memory
-segment (:class:`ShmArena`) and ships workers its manifest plus a model
-pickle whose parameter arrays were swapped for empty stubs; workers
-attach the segment zero-copy instead of deserializing. The parent then
-submits one ``(start, stop)`` task per chunk, in schedule order, through
-a bounded window, and consumes results strictly in order — so
-``MCResult.accuracies[i]`` is stream ``i``'s draw on every backend, and
-the ``on_chunk`` hook and the stopping rule see exactly the prefixes the
-in-process backends show them. Workers re-derive their rng streams from
-the plan's seed schedule (``spawn_rngs`` is deterministic), so task
-payloads are O(1). The parent owns the segment and unlinks it in a
-``finally`` around the pool, so normal exit, worker crash and adaptive
+The pool has one transport. The parent places the dataset and every
+nominal parameter plane in one POSIX shared-memory segment
+(:class:`ShmArena`) and ships workers its manifest plus a model pickle
+whose parameter arrays were swapped for empty stubs; workers attach the
+segment zero-copy instead of deserializing. On its first call the pool
+step submits one ``(start, stop)`` task per remaining chunk, in schedule
+order, and returns results strictly in order — so
+``MCResult.accuracies[i]`` is stream ``i``'s draw on every backend, the
+``on_chunk`` hook and the stopping rule see exactly the prefixes the
+in-process backends show them, and a resumed evaluation dispatches from
+its first unstored chunk. Workers re-derive their rng streams from the
+plan's seed schedule (``spawn_rngs`` is deterministic), so task payloads
+are O(1). The parent owns the segment and unlinks it when the step's run
+scope exits, so normal exit, worker crash, a raising hook and adaptive
 cancellation all leave ``/dev/shm`` clean.
 
 Eval dtype: a ``dtype="float32"`` plan evaluates a float32 *rounding* of
@@ -57,18 +59,16 @@ contract holds *per dtype* across all three backends.
 Sequential (adaptive) stopping: when the plan carries a ``stopping``
 rule, it is re-checked on the prefix of draws after each chunk — at
 chunk boundaries only, in seed-schedule order, on every backend — and
-evaluation halts once it is satisfied; the pool discards any chunks
-already in flight. The decision points and the per-draw state are
-identical everywhere, so the stop point is engine-invariant and an
-adaptive run's draws are a bitwise prefix of the fixed-S run on the same
-seed.
+evaluation halts once it is satisfied; the pool cancels the chunks still
+queued. The decision points and the per-draw state are identical
+everywhere, so the stop point is engine-invariant and an adaptive run's
+draws are a bitwise prefix of the fixed-S run on the same seed.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import itertools
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import shared_memory
@@ -306,6 +306,14 @@ class _ChunkStep:
         )
         self._nominal: Optional[float] = None
 
+    @contextlib.contextmanager
+    def run_context(self) -> Iterator[None]:
+        """In-process run scope: the eval-dtype cast, then the adapter's
+        restoration scope (pool workers cast once, at initialization)."""
+        with _dtype_scope(self.model, self.plan.dtype):
+            with self.adapter.run_context():
+                yield
+
     def __call__(self, start: int, stop: int) -> List[float]:
         plan = self.plan
         if plan.deterministic or not self.adapter.has_targets:
@@ -526,26 +534,50 @@ def _pool(
             yield pool
 
 
-def _result(plan: EvalPlan, accuracies: List[float]) -> "MCResult":
-    """Wrap raw per-draw accuracies in an ``MCResult`` for this plan.
+class _PoolStep:
+    """The pool's chunk step: :class:`_ChunkStep` run in worker processes.
 
-    ``stopped_early`` is structural: fewer draws than the cap means a rule
-    (or a sweep budget) cut the schedule short. Deterministic plans report
-    their single nominal draw without the flag, and the result carries the
-    stopping rule's CI settings so ``ci_low``/``ci_high`` are computed the
-    same way the stop decision was made.
+    The first call opens :func:`_pool` and submits every chunk from
+    ``start`` on (after a ``resume``: the first unstored one), in schedule
+    order; each call returns the next result, strictly in order. The
+    parent never builds a chunk step, casts the model or runs a forward
+    pass. ``ProcessPoolExecutor`` holds at most ``max_workers + 1`` calls
+    past cancellation, and the run scope cancels the rest before the pool
+    shuts down, however it exits.
     """
-    from repro.evaluation.montecarlo import MCResult
 
-    rule = plan.stopping
-    confidence = rule.confidence if isinstance(rule, HalfWidthRule) else 0.95
-    method = rule.method if isinstance(rule, HalfWidthRule) else "clt"
-    return MCResult(
-        accuracies,
-        stopped_early=not plan.deterministic and len(accuracies) < plan.n_samples,
-        confidence=confidence,
-        ci_method=method,
-    )
+    def __init__(
+        self,
+        plan: EvalPlan,
+        model: Module,
+        dataset: ArrayDataset,
+        bounds: Sequence[Tuple[int, int]],
+    ) -> None:
+        self.plan = plan
+        self.model = model
+        self.dataset = dataset
+        self.bounds = bounds
+        self.scope = contextlib.ExitStack()
+        self._pending: Deque["Future[List[float]]"] = collections.deque()
+
+    def run_context(self) -> ContextManager[object]:
+        """Shuts the pool down (if it opened) and unlinks its arena."""
+        return self.scope
+
+    def __call__(self, start: int, stop: int) -> List[float]:
+        if not self._pending:  # first call: nothing submitted yet
+            spans = [span for span in self.bounds if span[0] >= start]
+            pool = self.scope.enter_context(
+                _pool(
+                    self.plan, self.model, self.dataset,
+                    max_workers=min(self.plan.n_workers, len(spans)),
+                )
+            )
+            # Unwinds first: cancels the queued chunks that leaving
+            # ``_pool`` would otherwise wait out.
+            self.scope.callback(pool.shutdown, cancel_futures=True)
+            self._pending.extend(pool.submit(_pool_span, *span) for span in spans)
+        return self._pending.popleft().result()
 
 
 #: Per-chunk emit hook: called with ``(chunk_index, start, stop, chunk_accs)``
@@ -556,12 +588,13 @@ ChunkHook = Callable[[int, int, int, Sequence[float]], None]
 
 
 class IncrementalEvaluation:
-    """Resumable chunk-by-chunk in-process execution of one plan.
+    """Resumable chunk-by-chunk execution of one plan, on every backend.
 
-    The unit of sequential evaluation: holds the plan's chunk bounds,
-    evaluates one chunk per :meth:`run_chunk` call through the shared
-    chunk step (the same one pool workers run), and consults the plan's
-    stopping rule on the accumulated prefix after every chunk.
+    The one driver: holds the plan's chunk bounds, evaluates one chunk
+    per :meth:`run_chunk` call through the plan's chunk step (in-process
+    :class:`_ChunkStep`, or :class:`_PoolStep` for a pool plan), and
+    consults the plan's stopping rule on the accumulated prefix after
+    every chunk.
     Satisfies the :class:`~repro.evaluation.sequential.SequentialPoint`
     protocol, so the sweep-level allocator can interleave chunks across
     many of these against one shared budget — each instance's draws stay a
@@ -574,8 +607,9 @@ class IncrementalEvaluation:
     bitwise-identical to an uninterrupted one, including where an adaptive
     rule would have stopped it.
 
-    Use as a context manager: entry opens the adapter's run context
-    (weight restoration / analog chip-state snapshot), exit restores it.
+    Use as a context manager: entry opens the step's run scope (eval-dtype
+    cast plus weight restoration / analog chip-state snapshot in-process;
+    the pool and its arena for a pool plan), exit closes it.
     """
 
     def __init__(
@@ -586,17 +620,18 @@ class IncrementalEvaluation:
         on_chunk: Optional[ChunkHook] = None,
     ) -> None:
         self.plan = plan
-        self.model = model
         self.on_chunk = on_chunk
         self.accuracies: List[float] = []
-        self._step = _ChunkStep(
-            plan, model, _cast_dataset(dataset, plan.dtype)
-        )
         # A deterministic plan's one nominal draw is the entire schedule.
         self._bounds = ((0, 1),) if plan.deterministic else plan.chunks()
+        self._step: Union[_ChunkStep, _PoolStep] = (
+            _PoolStep(plan, model, dataset, self._bounds)
+            if plan.backend == "pool" and not plan.deterministic
+            else _ChunkStep(plan, model, _cast_dataset(dataset, plan.dtype))
+        )
         self._next = 0
         self._stopped = False
-        self._ctx: Optional[ContextManager[object]] = None
+        self._scope = contextlib.ExitStack()
 
     @property
     def done(self) -> bool:
@@ -641,16 +676,11 @@ class IncrementalEvaluation:
                 self._stopped = True
 
     def __enter__(self) -> "IncrementalEvaluation":
-        stack = contextlib.ExitStack()
-        stack.enter_context(_dtype_scope(self.model, self.plan.dtype))
-        stack.enter_context(self._step.adapter.run_context())
-        self._ctx = stack
+        self._scope.enter_context(self._step.run_context())
         return self
 
     def __exit__(self, *exc: object) -> None:
-        ctx, self._ctx = self._ctx, None
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
+        self._scope.close()
 
     def run_chunk(self) -> int:
         """Evaluate the next chunk; returns the number of draws consumed.
@@ -673,47 +703,27 @@ class IncrementalEvaluation:
         return stop - start
 
     def result(self) -> "MCResult":
-        """The draws evaluated so far, wrapped for this plan."""
-        return _result(self.plan, self.accuracies)
+        """The draws evaluated so far, wrapped for this plan.
 
+        ``stopped_early`` is structural: fewer draws than the cap means a
+        rule (or a sweep budget) cut the schedule short. Deterministic
+        plans report their single nominal draw without the flag, and the
+        result carries the stopping rule's CI settings so
+        ``ci_low``/``ci_high`` are computed the same way the stop decision
+        was made.
+        """
+        from repro.evaluation.montecarlo import MCResult
 
-def _run_pool(
-    plan: EvalPlan,
-    model: Module,
-    dataset: ArrayDataset,
-    on_chunk: Optional[ChunkHook],
-) -> "MCResult":
-    """The pool backend: chunk tasks in schedule order, results in order.
-
-    One task per chunk is submitted in schedule order through a bounded
-    window of ``2 * workers`` in flight, and results are consumed strictly
-    in order — so ``on_chunk`` and the stopping rule (``None`` for a fixed
-    plan: it never fires) see exactly the prefixes, at exactly the draw
-    counts, the in-process backends show them. Chunks still in flight
-    when the rule fires are discarded, never appended: completion order
-    cannot change the result, only how much speculative work is thrown
-    away.
-    """
-    bounds = plan.chunks()
-    rule = plan.stopping
-    accs: List[float] = []
-    max_workers = min(plan.n_workers, len(bounds))
-    window = 2 * max_workers
-    with _pool(plan, model, dataset, max_workers=max_workers) as pool:
-        tasks = iter(bounds)
-        pending: Deque["Future[List[float]]"] = collections.deque()
-        for index, (start, stop) in enumerate(bounds):
-            for span in itertools.islice(tasks, window - len(pending)):
-                pending.append(pool.submit(_pool_span, *span))
-            chunk = pending.popleft().result()
-            accs.extend(chunk)
-            if on_chunk is not None:
-                on_chunk(index, start, stop, chunk)
-            if rule is not None and rule.satisfied(accs):
-                for future in pending:
-                    future.cancel()
-                break
-    return _result(plan, accs)
+        plan, accuracies = self.plan, self.accuracies
+        rule = plan.stopping
+        confidence = rule.confidence if isinstance(rule, HalfWidthRule) else 0.95
+        method = rule.method if isinstance(rule, HalfWidthRule) else "clt"
+        return MCResult(
+            accuracies,
+            stopped_early=not plan.deterministic and len(accuracies) < plan.n_samples,
+            confidence=confidence,
+            ci_method=method,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +747,6 @@ def execute(
     schedule order and from this process on every backend (the result
     store persists restart points through it).
     """
-    if plan.backend == "pool" and not plan.deterministic:
-        return _run_pool(plan, model, dataset, on_chunk)
     evaluation = IncrementalEvaluation(plan, model, dataset, on_chunk=on_chunk)
     with evaluation:
         while not evaluation.done:

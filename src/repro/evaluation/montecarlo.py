@@ -7,10 +7,12 @@ sample ``i`` always draws from the same spawned rng stream, so results are
 reproducible and paired across configurations sharing a seed.
 
 Since the plan/executor refactor the evaluator itself is thin: it
-normalizes the variation spec, forces eval mode, builds an
+normalizes the variation spec, forces eval mode, builds one
 :class:`~repro.evaluation.plan.EvalPlan` (domain, backend, seed schedule,
-sample-chunk schedule, data blocking) and hands it to
-:func:`repro.evaluation.executor.execute`. The three backends —
+sample-chunk schedule, data blocking) — from its flags, or with
+``autotune=True`` from a measured cost model, through the same logical
+arguments — and hands it to :func:`repro.evaluation.executor.execute`.
+The three backends —
 
 - **loop** (default): one full-dataset forward pass per sample, the
   semantic ground truth;
@@ -20,12 +22,17 @@ sample-chunk schedule, data blocking) and hands it to
   worker processes, each running the stacked kernels over its chunk when
   the model supports them (hybrid pool x vectorized), else the loop —
 
-share one paired-seed contract, stated once in ``plan``/``executor``: a
-given seed produces bitwise-identical per-draw state in every backend, so
-engine choice, ``chunk_samples`` and ``n_workers`` are pure performance
-knobs. Weight-domain and analog (crossbar-deployed) models run through the
-same backends; only the *model adapter* — how a draw or a chunk of draws
-is applied — differs (see ``repro.evaluation.executor``).
+run through one driver,
+:class:`~repro.evaluation.executor.IncrementalEvaluation` (the pool only
+swaps its chunk step), and share one paired-seed contract, stated once in
+``plan``/``executor``: a given seed produces bitwise-identical per-draw
+state in every backend, so engine choice, ``chunk_samples`` and
+``n_workers`` are pure performance knobs. Grids
+(:meth:`~MonteCarloEvaluator.evaluate_grid`) hold every point open at
+once and so run pool plans in-process. Weight-domain and analog
+(crossbar-deployed) models run through the same backends; only the
+*model adapter* — how a draw or a chunk of draws is applied — differs
+(see ``repro.evaluation.executor``).
 
 Memory-bounded streaming: stacked execution materializes per-draw state
 (weight stacks / conductance planes) for ``chunk_samples`` draws at a
@@ -54,7 +61,7 @@ with the widest intervals.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -71,7 +78,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.executor import execute, IncrementalEvaluation
-from repro.evaluation.plan import build_plan
+from repro.evaluation.plan import build_plan, EvalPlan
 from repro.evaluation.sequential import (
     allocate_draws,
     CI_METHODS,
@@ -329,7 +336,7 @@ class MonteCarloEvaluator:
         tolerance: Optional[float] = None,
         max_samples: Optional[int] = None,
         min_samples: Optional[int] = None,
-    ):
+    ) -> EvalPlan:
         """The :class:`~repro.evaluation.plan.EvalPlan` this evaluator
         would execute for ``model``/``variation`` — the introspectable
         form of :meth:`evaluate`'s dispatch. The model must be in the mode
@@ -342,46 +349,36 @@ class MonteCarloEvaluator:
         from :func:`~repro.evaluation.autotune.autotune_plan` instead of
         the evaluator's flags: a persisted per-machine cost model, probed
         through the injected ``clock`` when one is available."""
+        logical: Dict[str, Any] = dict(
+            n_samples=self.n_samples if max_samples is None else max_samples,
+            seed=self.seed,
+            dtype=self.dtype,
+            batch_size=self.batch_size,
+            tolerance=self.tolerance if tolerance is None else tolerance,
+            min_samples=self.min_samples if min_samples is None else min_samples,
+            ci_confidence=self.ci_confidence,
+            ci_method=self.ci_method,
+        )
         if self.autotune and layers is None and not protection_masks:
             from repro.evaluation.autotune import autotune_plan
 
             return autotune_plan(
-                model,
-                self.dataset,
-                variation,
-                n_samples=self.n_samples if max_samples is None else max_samples,
-                seed=self.seed,
-                dtype=self.dtype,
-                clock=self.clock,
-                cache_path=self.autotune_cache,
-                batch_size=self.batch_size,
-                tolerance=self.tolerance if tolerance is None else tolerance,
-                min_samples=(
-                    self.min_samples if min_samples is None else min_samples
-                ),
-                ci_confidence=self.ci_confidence,
-                ci_method=self.ci_method,
+                model, self.dataset, variation,
+                clock=self.clock, cache_path=self.autotune_cache, **logical,
             )
         return build_plan(
             model,
             self.dataset,
             variation,
-            n_samples=self.n_samples if max_samples is None else max_samples,
-            seed=self.seed,
-            batch_size=self.batch_size,
             vectorized=self.vectorized,
             n_workers=self.n_workers,
             data_block=self.data_block,
             default_chunk=self.sample_chunk,
             chunk_samples=self.chunk_samples,
             memory_budget_mb=self.memory_budget_mb,
-            tolerance=self.tolerance if tolerance is None else tolerance,
-            min_samples=self.min_samples if min_samples is None else min_samples,
-            ci_confidence=self.ci_confidence,
-            ci_method=self.ci_method,
-            dtype=self.dtype,
             layers=layers,
             protection_masks=protection_masks,
+            **logical,
         )
 
     def evaluate(
@@ -474,23 +471,25 @@ class MonteCarloEvaluator:
         model.eval()
         try:
             with ExitStack() as stack:
-                evaluations = [
-                    stack.enter_context(
-                        IncrementalEvaluation(
-                            self.plan(
-                                model,
-                                variation,
-                                layers,
-                                masks,
-                                tolerance=tolerance,
-                                min_samples=min_samples,
-                            ),
-                            model,
-                            self.dataset,
+                evaluations = []
+                for variation, layers, masks in points:
+                    plan = self.plan(
+                        model, variation, layers, masks,
+                        tolerance=tolerance, min_samples=min_samples,
+                    )
+                    if plan.backend == "pool":
+                        # A K-point grid holds all K evaluations open at
+                        # once, so pool plans would hold K pools (workers
+                        # and arenas). Run the same kernels in-process;
+                        # chunk content is backend-invariant.
+                        plan = replace(
+                            plan, backend="vectorized" if plan.stacked else "loop"
+                        )
+                    evaluations.append(
+                        stack.enter_context(
+                            IncrementalEvaluation(plan, model, self.dataset)
                         )
                     )
-                    for variation, layers, masks in points
-                ]
                 allocate_draws(
                     evaluations,
                     budget,

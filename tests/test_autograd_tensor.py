@@ -118,6 +118,25 @@ class TestBackward:
         assert y._parents == ()
         assert not y.requires_grad
 
+    def test_untaped_ops_leave_no_reference_cycles(self):
+        """An op's backward closure refers to its output; an output no
+        gradient can reach must not keep it, or every no_grad forward
+        (each Monte-Carlo draw) leaves its activations in reference
+        cycles until the cyclic collector happens to run."""
+        import gc
+
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            with no_grad():
+                ((x * 2).relu() @ Tensor(np.ones((3, 2)))).sum()
+            (Tensor(np.ones(3)) + 1).relu()  # off the tape in grad mode
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert (x * 2)._backward is not None
+
 
 class TestShapes:
     def test_reshape_roundtrip_grad(self):

@@ -5,8 +5,10 @@ time itself), so every test drives the tuner with a deterministic fake
 counter and asserts on the *decisions*, not on real timings.
 """
 
+import dataclasses
 import itertools
 import json
+import os
 
 import pytest
 
@@ -142,3 +144,66 @@ class TestAutotunePlan:
             n_samples=32, seed=11, tolerance=0.02, min_samples=4,
         )
         assert plan.stopping is not None
+
+
+#: Logical arguments a tuned plan must carry through unchanged.
+_LOGICAL = dict(batch_size=64, tolerance=0.05, min_samples=4,
+                ci_confidence=0.9, ci_method="wilson")
+
+
+def _without_reason(plan):
+    return dataclasses.replace(plan, backend_reason=None)
+
+
+class TestPlanEquivalence:
+    """Tuning picks only execution knobs: a tuned plan is field-for-field
+    the ``build_plan`` of those knobs plus the caller's logical arguments
+    (only the ``backend_reason`` wording is the tuner's own)."""
+
+    @pytest.mark.parametrize("fastest", ["loop", "vectorized", "pool"])
+    def test_cost_model_plan(self, mlp, blob_dataset, tmp_path, fastest):
+        mlp.eval()
+        rates = {"loop": 1e-5, "vectorized": 1e-5, "pool": 1e-5}
+        rates[fastest] = 1e-7
+        cache = tmp_path / "autotune.json"
+        save_cost_model(cache, {_workload_key(mlp, blob_dataset, "float64"): {
+            "chunk_samples": 4, "data_block": 32, "n_workers": 2,
+            "pool_startup": 0.0, "per_image_draw": rates,
+        }})
+        variation = LogNormalVariation(0.5)
+        plan = autotune_plan(mlp, blob_dataset, variation, n_samples=12,
+                             seed=11, cache_path=cache, **_LOGICAL)
+        expected = build_plan(
+            mlp, blob_dataset, variation, n_samples=12, seed=11,
+            vectorized=fastest == "vectorized",
+            n_workers=2 if fastest == "pool" else 0,
+            chunk_samples=4, data_block=32, **_LOGICAL,
+        )
+        assert plan.backend == fastest
+        assert _without_reason(plan) == _without_reason(expected)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("sample_aware", [True, False],
+                             ids=["sample-aware", "softmax"])
+    def test_heuristic_plan(self, mlp, blob_dataset, monkeypatch, cpus,
+                            sample_aware):
+        import repro.nn as nn
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        model = mlp if sample_aware else nn.Sequential(
+            nn.Flatten(), nn.Linear(4, 3, seed=0), nn.Softmax(axis=1))
+        model.eval()
+        variation = LogNormalVariation(0.5)
+        plan = autotune_plan(model, blob_dataset, variation, n_samples=12,
+                             seed=11, **_LOGICAL)
+        if sample_aware:
+            knobs = dict(vectorized=True)
+        elif cpus >= 2:
+            knobs = dict(n_workers=min(cpus, 4))
+        else:
+            knobs = {}
+        expected = build_plan(model, blob_dataset, variation, n_samples=12,
+                              seed=11, **knobs, **_LOGICAL)
+        assert _without_reason(plan) == _without_reason(expected)
+        if sample_aware:
+            assert plan.n_workers == 0

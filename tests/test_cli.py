@@ -7,6 +7,7 @@ import pytest
 
 from repro import cli
 from repro.evaluation.montecarlo import MCResult
+from repro.store.jobs import DATASET_FACTORIES
 
 
 @pytest.fixture(autouse=True)
@@ -17,7 +18,7 @@ def small_datasets(monkeypatch):
     def tiny_mnist():
         return synth_mnist(train_per_class=6, test_per_class=3)
 
-    monkeypatch.setitem(cli._DATASETS, "synth_mnist", tiny_mnist)
+    monkeypatch.setitem(DATASET_FACTORIES, "synth_mnist", tiny_mnist)
 
 
 class TestTrainCLI:

@@ -129,6 +129,38 @@ class TestEnv:
                             env.eval_data, env.comp_config, env.eval_config)
 
 
+class TestEnvAutotune:
+    def test_reward_evaluator_honours_autotune(self, tmp_path, monkeypatch):
+        """``EvalConfig.autotune`` reaches the RL reward evaluations: the
+        environment's evaluator plans from the persisted cost model (here a
+        pre-seeded entry, so no probe runs), not from the static flags."""
+        from repro.evaluation.autotune import _workload_key, save_cost_model
+        from repro.utils.cache import default_autotune_cache
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        rng = np.random.default_rng(0)
+        data = ArrayDataset(rng.normal(size=(30, 1, 16, 16)),
+                            rng.integers(0, 10, size=30))
+        model = LeNet5(num_classes=10, in_channels=1, input_size=16,
+                       width_multiplier=0.5, seed=0)
+        save_cost_model(default_autotune_cache(), {
+            _workload_key(model, data, "float64"): {
+                "chunk_samples": 3, "data_block": 32, "n_workers": 0,
+                "pool_startup": 0.0,
+                "per_image_draw": {"loop": 1e-7, "vectorized": 1e-5},
+            },
+        })
+        env = CompensationEnv(
+            model, candidate_layers=[0, 1],
+            variation=LogNormalVariation(0.4), train_data=data,
+            eval_data=data, comp_config=CompensationConfig(epochs=1),
+            eval_config=EvalConfig(search_samples=6, autotune=True),
+        )
+        plan = env._evaluator.plan(model.eval(), env.variation)
+        assert plan.backend_reason.startswith("autotuned (cost model")
+        assert (plan.backend, plan.chunk_samples) == ("loop", 3)
+
+
 class TestSearch:
     def test_search_returns_best_of_explored(self):
         env = _tiny_env()
