@@ -63,7 +63,7 @@ from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.evaluation.plan import build_plan
 from repro.models import build_model
 from repro.variation import LogNormalVariation
-from repro.variation.injector import weighted_layers
+from repro.nn.graph import weighted_layers
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_mc.json"
 

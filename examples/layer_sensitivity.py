@@ -14,9 +14,10 @@ from repro.data import synth_mnist
 from repro.evaluation import MonteCarloEvaluator, accuracy, layer_sweep, select_candidates
 from repro.lipschitz import OrthogonalityRegularizer, lambda_bound
 from repro.models import build_model
+from repro.nn.graph import weighted_layers
 from repro.optim import Adam, CosineSchedule
 from repro.utils.tables import format_table
-from repro.variation import LogNormalVariation, weighted_layers
+from repro.variation import LogNormalVariation
 
 SIGMA = 0.5
 EPOCHS = 25

@@ -4,12 +4,12 @@ The paper evaluates every configuration by sampling the weight-variation
 model 250 times and reporting mean and standard deviation of inference
 accuracy; :class:`MonteCarloEvaluator` reproduces that protocol.
 :func:`layer_sweep` reproduces Fig. 9's "variations from layer i to the
-last layer" experiment, from which :func:`select_candidates` derives the
-compensation-candidate prefix. :class:`ErrorPropagationTracer` measures the
+last layer" experiment — each tail a :func:`tail_spec` — from which
+:func:`select_candidates` derives the compensation-candidate prefix. :class:`ErrorPropagationTracer` measures the
 per-layer feature deviations that motivate error suppression (Fig. 4).
 Sequential stopping (``evaluate(tolerance=...)``) lives in
 ``repro.evaluation.sequential``: interval estimators, the
-:class:`StoppingRule` family and the sweep-level draw allocator.
+:class:`HalfWidthRule` stopping rule and the sweep-level draw allocator.
 """
 
 from repro.evaluation.metrics import accuracy, recovery_ratio
@@ -25,15 +25,13 @@ from repro.evaluation.plan import build_plan, estimate_sample_bytes, EvalPlan
 from repro.evaluation.sequential import (
     allocate_draws,
     clt_interval,
-    FixedSamples,
     half_width,
     HalfWidthRule,
     interval,
-    StoppingRule,
     wilson_interval,
 )
 from repro.evaluation.vectorized import stacked_accuracies, supports_sample_axis
-from repro.evaluation.layer_sweep import layer_sweep, select_candidates
+from repro.evaluation.layer_sweep import layer_sweep, select_candidates, tail_spec
 from repro.evaluation.tracer import ErrorPropagationTracer, LayerDeviation
 from repro.evaluation.margins import (
     MarginReport,
@@ -48,6 +46,7 @@ __all__ = [
     "MCResult",
     "layer_sweep",
     "select_candidates",
+    "tail_spec",
     "ErrorPropagationTracer",
     "LayerDeviation",
     "MarginReport",
@@ -63,8 +62,6 @@ __all__ = [
     "make_adapter",
     "IncrementalEvaluation",
     "ShmArena",
-    "StoppingRule",
-    "FixedSamples",
     "HalfWidthRule",
     "interval",
     "clt_interval",

@@ -8,7 +8,9 @@ how to restore the model afterwards.
 
 - :class:`WeightAdapter` — weight-domain models (plain, compensated). A
   draw is :meth:`VariationInjector.applied`; a chunk is ``stack_for`` +
-  ``applied_stack`` (sample-stacked parameter arrays). Restoration is
+  ``applied_stack`` (sample-stacked parameter arrays). The targets are
+  the weighted layers the plan's spec does not resolve to ``none`` — the
+  spec is the only thing that says which layers vary. Restoration is
   per-application: the injector puts nominal values back on context exit.
 - :class:`AnalogAdapter` — crossbar-deployed models. A draw programs every
   analog layer from the draw's stream (one tile-programming spawn plus,
@@ -94,7 +96,6 @@ import numpy.typing as npt
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.metrics import accuracy
 from repro.evaluation.plan import EvalPlan
-from repro.evaluation.sequential import HalfWidthRule
 from repro.evaluation.vectorized import stacked_accuracies
 from repro.hardware.analog_layers import (
     analog_layers,
@@ -115,22 +116,16 @@ class WeightAdapter:
     """Apply draws by perturbing ``Parameter.data`` through the injector."""
 
     def __init__(
-        self,
-        model: Module,
-        variation: VariationModel,
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
-        dtype: str = "float64",
+        self, model: Module, variation: VariationModel, dtype: str = "float64"
     ) -> None:
         self.model = model
-        self.injector = VariationInjector(
-            model, variation, layers, protection_masks, dtype
-        )
+        self.injector = VariationInjector(model, variation, dtype=dtype)
 
     @property
     def has_targets(self) -> bool:
-        """False when nothing is subject to variation (e.g. an empty layer
-        subset): every draw then sees nominal weights."""
+        """False when nothing is subject to variation (e.g. a ``LayerMap``
+        resolving every layer to ``none``): every draw then sees nominal
+        weights."""
         return bool(self.injector.target_parameters())
 
     def run_context(self) -> ContextManager[None]:
@@ -202,9 +197,7 @@ def make_adapter(model: Module, plan: EvalPlan) -> ModelAdapter:
     """The adapter matching the plan's domain, bound to ``model``."""
     if plan.domain == "analog":
         return AnalogAdapter(model, plan.variation)
-    return WeightAdapter(
-        model, plan.variation, plan.layers, plan.protection_masks, plan.dtype
-    )
+    return WeightAdapter(model, plan.variation, plan.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +276,8 @@ class _ChunkStep:
     ``model``/``dataset`` (both already in the eval dtype):
 
     - nominal replication when nothing is subject to variation (a
-      deterministic plan, or an empty layer subset) — one nominal
-      accuracy, computed once and repeated for every draw;
+      deterministic plan, or a spec resolving every layer to ``none``)
+      — one nominal accuracy, computed once and repeated for every draw;
     - the stacked kernels over the whole span when ``plan.stacked`` —
       one pass per data block for all its draws;
     - otherwise the per-draw reference loop, one full sweep per draw.
@@ -471,11 +464,9 @@ def _init_worker(payload: bytes, manifest: Dict[str, Any]) -> None:
     the parent's segment — nothing is copied. Both are read-only by
     contract: the injector *replaces* ``Parameter.data`` references
     (never writes in place) and restores them, so many workers safely
-    share one mapping. ``plan.layers`` travels inside the same pickle as
-    the model, so the subset keeps its identity with the model's modules.
-    Buffers arrive through the pickle in float64 and are cast here for
-    float32 plans (tiny: batch-norm statistics). The arena mapping lives
-    as long as the worker; the parent owns the unlink.
+    share one mapping. Buffers arrive through the pickle in float64 and
+    are cast here for float32 plans (tiny: batch-norm statistics). The
+    arena mapping lives as long as the worker; the parent owns the unlink.
     """
     arena = ShmArena.attach(manifest)
     model, plan = cast(
@@ -714,15 +705,12 @@ class IncrementalEvaluation:
         """
         from repro.evaluation.montecarlo import MCResult
 
-        plan, accuracies = self.plan, self.accuracies
-        rule = plan.stopping
-        confidence = rule.confidence if isinstance(rule, HalfWidthRule) else 0.95
-        method = rule.method if isinstance(rule, HalfWidthRule) else "clt"
+        plan, accuracies, rule = self.plan, self.accuracies, self.plan.stopping
         return MCResult(
             accuracies,
             stopped_early=not plan.deterministic and len(accuracies) < plan.n_samples,
-            confidence=confidence,
-            ci_method=method,
+            confidence=0.95 if rule is None else rule.confidence,
+            ci_method="clt" if rule is None else rule.method,
         )
 
 

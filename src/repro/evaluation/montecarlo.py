@@ -43,9 +43,10 @@ explicitly (``chunk_samples``), derived from a byte budget
 
 Every ``variation`` argument accepts a full spec — a ``VariationModel``, a
 grammar string (``"lognormal:0.5+quant:4"``), or a spec dict (see
-``repro.variation.spec``). For analog models ``layers`` /
-``protection_masks`` are rejected (weight-domain controls) — express
-per-layer analog scenarios with a ``LayerMap`` spec instead.
+``repro.variation.spec``). The spec is also the one way to say which
+layers vary — a ``LayerMap``, on weight-domain and analog models alike;
+Fig. 9's tails are ``LayerMap`` specs built by
+``repro.evaluation.layer_sweep.tail_spec``.
 
 Sequential (adaptive) evaluation: a ``tolerance`` — on the evaluator or
 per :meth:`~MonteCarloEvaluator.evaluate` call — turns ``n_samples`` into
@@ -330,8 +331,6 @@ class MonteCarloEvaluator:
         self,
         model: Module,
         variation: "VariationLike",
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, np.ndarray]] = None,
         *,
         tolerance: Optional[float] = None,
         max_samples: Optional[int] = None,
@@ -344,10 +343,9 @@ class MonteCarloEvaluator:
         ``tolerance``/``max_samples``/``min_samples`` override the
         evaluator defaults for this plan only.
 
-        With ``autotune=True`` (and no live ``layers``/``protection_masks``
-        — layer subsets have no cost-model key) the execution knobs come
-        from :func:`~repro.evaluation.autotune.autotune_plan` instead of
-        the evaluator's flags: a persisted per-machine cost model, probed
+        With ``autotune=True`` the execution knobs come from
+        :func:`~repro.evaluation.autotune.autotune_plan` instead of the
+        evaluator's flags: a persisted per-machine cost model, probed
         through the injected ``clock`` when one is available."""
         logical: Dict[str, Any] = dict(
             n_samples=self.n_samples if max_samples is None else max_samples,
@@ -359,7 +357,7 @@ class MonteCarloEvaluator:
             ci_confidence=self.ci_confidence,
             ci_method=self.ci_method,
         )
-        if self.autotune and layers is None and not protection_masks:
+        if self.autotune:
             from repro.evaluation.autotune import autotune_plan
 
             return autotune_plan(
@@ -376,8 +374,6 @@ class MonteCarloEvaluator:
             default_chunk=self.sample_chunk,
             chunk_samples=self.chunk_samples,
             memory_budget_mb=self.memory_budget_mb,
-            layers=layers,
-            protection_masks=protection_masks,
             **logical,
         )
 
@@ -385,8 +381,6 @@ class MonteCarloEvaluator:
         self,
         model: Module,
         variation: "VariationLike",
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, np.ndarray]] = None,
         *,
         tolerance: Optional[float] = None,
         max_samples: Optional[int] = None,
@@ -394,11 +388,10 @@ class MonteCarloEvaluator:
     ) -> MCResult:
         """Accuracy over up to ``n_samples`` draws of ``variation``.
 
-        ``variation`` is any spec form (model / grammar string / dict).
-        ``layers`` restricts injection to a layer subset (Fig. 9);
-        ``protection_masks`` holds protected weights at nominal (baselines).
-        A ``NoVariation`` model short-circuits to a single deterministic
-        evaluation. Backend choice (vectorized / pool / loop) follows the
+        ``variation`` is any spec form (model / grammar string / dict);
+        a ``LayerMap`` restricts injection to the layers it does not map
+        to ``none`` (Fig. 9's tails). A ``NoVariation`` model
+        short-circuits to a single deterministic evaluation. Backend choice (vectorized / pool / loop) follows the
         module docstring; all backends return paired results for a seed.
 
         ``tolerance`` (here or on the evaluator) enables sequential
@@ -420,8 +413,6 @@ class MonteCarloEvaluator:
             plan = self.plan(
                 model,
                 variation,
-                layers,
-                protection_masks,
                 tolerance=tolerance,
                 max_samples=max_samples,
                 min_samples=min_samples,
@@ -434,19 +425,13 @@ class MonteCarloEvaluator:
     def evaluate_grid(
         self,
         model: Module,
-        points: Sequence[
-            Tuple[
-                "VariationLike",
-                Optional[Sequence[Module]],
-                Optional[Dict[str, np.ndarray]],
-            ]
-        ],
+        points: Sequence["VariationLike"],
         *,
         tolerance: Optional[float] = None,
         draw_budget: Optional[int] = None,
         min_samples: Optional[int] = None,
     ) -> List[MCResult]:
-        """Adaptive evaluation of many ``(variation, layers, masks)`` points
+        """Adaptive evaluation of many variation specs (grid points)
         against one shared draw budget.
 
         Each point gets its own plan (same seed — results are paired) and
@@ -472,9 +457,9 @@ class MonteCarloEvaluator:
         try:
             with ExitStack() as stack:
                 evaluations = []
-                for variation, layers, masks in points:
+                for variation in points:
                     plan = self.plan(
-                        model, variation, layers, masks,
+                        model, variation,
                         tolerance=tolerance, min_samples=min_samples,
                     )
                     if plan.backend == "pool":
@@ -506,8 +491,6 @@ class MonteCarloEvaluator:
         model: Module,
         variation: "VariationLike",
         sigmas: Sequence[float],
-        layers: Optional[Sequence[Module]] = None,
-        protection_masks: Optional[Dict[str, np.ndarray]] = None,
         *,
         tolerance: Optional[float] = None,
         draw_budget: Optional[int] = None,
@@ -519,9 +502,8 @@ class MonteCarloEvaluator:
         rescaled so its reported magnitude equals the grid value — composed
         specs scale every component, per-layer maps scale every override.
         The base spec's magnitude must be non-zero so scaling is well
-        defined. ``layers`` and ``protection_masks`` are forwarded to every
-        point, so layer subsets (Fig. 9) and protection baselines can be
-        swept.
+        defined. ``none`` overrides stay ``none`` under scaling, so a
+        Fig. 9 tail spec sweeps as the same tail.
 
         A ``tolerance`` (here or on the evaluator) or a ``draw_budget``
         routes the sweep through :meth:`evaluate_grid`: one shared budget,
@@ -533,20 +515,11 @@ class MonteCarloEvaluator:
         if tolerance is not None or draw_budget is not None:
             return self.evaluate_grid(
                 model,
-                [
-                    (scale_to(variation, sigma), layers, protection_masks)
-                    for sigma in sigmas
-                ],
+                [scale_to(variation, sigma) for sigma in sigmas],
                 tolerance=tolerance,
                 draw_budget=draw_budget,
                 min_samples=min_samples,
             )
         return [
-            self.evaluate(
-                model,
-                scale_to(variation, sigma),
-                layers=layers,
-                protection_masks=protection_masks,
-            )
-            for sigma in sigmas
+            self.evaluate(model, scale_to(variation, sigma)) for sigma in sigmas
         ]

@@ -48,10 +48,9 @@ Plan axes
   stacked sweeps always use ``data_block`` (stacked intermediates are S
   times larger, so blocks stay cache-sized).
 - **Stopping rule.** ``n_samples`` is a cap, not necessarily the count: a
-  plan may carry a :class:`~repro.evaluation.sequential.StoppingRule`
-  (built from ``tolerance`` — see
-  :class:`~repro.evaluation.sequential.HalfWidthRule`) that the executor
-  consults at chunk boundaries, in seed-schedule order, on every backend.
+  plan may carry a :class:`~repro.evaluation.sequential.HalfWidthRule`
+  (built from ``tolerance``) that the executor consults at chunk
+  boundaries, in seed-schedule order, on every backend.
   Because chunks are slices of the one seed schedule and the decision
   points are the same everywhere, the stop point is engine-invariant and
   an adaptive run's draws are a bitwise prefix of the fixed-S run.
@@ -75,13 +74,12 @@ workers attach (see ``repro.evaluation.executor``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.data.dataset import ArrayDataset
-from repro.evaluation.sequential import HalfWidthRule, StoppingRule
+from repro.evaluation.sequential import HalfWidthRule
 from repro.evaluation.vectorized import sample_axis_blockers, supports_sample_axis
 from repro.hardware.analog_layers import analog_layers, has_read_noise
 from repro.nn.module import Module
@@ -135,10 +133,8 @@ class EvalPlan:
     #: shared-memory arena (read by benchmark reports).
     transport: ClassVar[str] = "shm"
     #: Sequential early stopping, consulted at chunk boundaries only;
-    #: ``None`` (and ``FixedSamples``) runs the full ``n_samples`` cap.
-    stopping: Optional[StoppingRule] = None
-    layers: Optional[Sequence[Module]] = None
-    protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None
+    #: ``None`` runs the full ``n_samples`` cap.
+    stopping: Optional[HalfWidthRule] = None
     #: Why the resolved backend differs from the requested one — set when a
     #: ``vectorized=True`` request fell back because the model is not
     #: sample-aware, naming the blocking module(s). Purely diagnostic: it
@@ -169,8 +165,6 @@ def estimate_sample_bytes(
     model: Module,
     dataset: ArrayDataset,
     variation: VariationModel,
-    layers: Optional[Sequence[Module]] = None,
-    protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
     data_block: int = 64,
     dtype: str = "float64",
 ) -> int:
@@ -179,7 +173,7 @@ def estimate_sample_bytes(
     Two terms, both float64:
 
     - the per-draw parameter state a stacked chunk materializes — one
-      weight copy per target parameter (weight domain) or three
+      weight copy per parameter the spec varies (weight domain) or three
       conductance planes per array (analog: ``g_pos``, ``g_neg`` and the
       effective-difference cache);
     - the stacked activations of one ``data_block``-sized data batch,
@@ -195,7 +189,7 @@ def estimate_sample_bytes(
             3 * int(np.prod(layer.array.weights_shape)) for _, layer in analog
         )
     else:
-        injector = VariationInjector(model, variation, layers, protection_masks)
+        injector = VariationInjector(model, variation)
         param_elems = sum(p.data.size for p in injector.target_parameters())
     image_elems = int(np.prod(dataset.images.shape[1:]))
     act_elems = int(data_block * image_elems * STACKED_ACTIVATION_FACTOR)
@@ -241,14 +235,11 @@ def build_plan(
     default_chunk: int = 16,
     chunk_samples: Optional[int] = None,
     memory_budget_mb: Optional[float] = None,
-    layers: Optional[Sequence[Module]] = None,
-    protection_masks: Optional[Dict[str, npt.NDArray[Any]]] = None,
     dtype: str = "float64",
     tolerance: Optional[float] = None,
     min_samples: Optional[int] = None,
     ci_confidence: float = 0.95,
     ci_method: str = "clt",
-    stopping: Optional[StoppingRule] = None,
 ) -> EvalPlan:
     """Resolve one Monte-Carlo evaluation into an :class:`EvalPlan`.
 
@@ -266,19 +257,31 @@ def build_plan(
     initializer cost and then receive no task — with the clamp recorded
     in ``backend_reason``.
 
-    Sequential stopping: an explicit ``stopping`` rule wins; otherwise a
-    ``tolerance`` builds a
+    Sequential stopping: a ``tolerance`` builds a
     :class:`~repro.evaluation.sequential.HalfWidthRule` from
     ``min_samples`` / ``ci_confidence`` / ``ci_method``, and ``n_samples``
     becomes the draw cap rather than the exact count.
+
+    The execution knobs are validated here, the one constructor every
+    caller (evaluator, autotuner, store job) goes through: sizes must be
+    positive and ``n_workers`` non-negative.
     """
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    positive = dict(
+        n_samples=n_samples, batch_size=batch_size, data_block=data_block,
+        default_chunk=default_chunk, chunk_samples=chunk_samples,
+        memory_budget_mb=memory_budget_mb,
+    )
+    for name, value in positive.items():
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if n_workers < 0:
+        raise ValueError(f"n_workers must be non-negative, got {n_workers}")
     if dtype not in EVAL_DTYPES:
         raise ValueError(
             f"dtype must be one of {EVAL_DTYPES}, got {dtype!r}"
         )
-    if stopping is None and tolerance is not None:
+    stopping: Optional[HalfWidthRule] = None
+    if tolerance is not None:
         if min_samples is None:
             stopping = HalfWidthRule(
                 tolerance=tolerance, confidence=ci_confidence, method=ci_method
@@ -290,13 +293,6 @@ def build_plan(
             )
     resolved = parse_spec(variation)
     analog = bool(analog_layers(model))
-    if analog and (layers is not None or protection_masks):
-        raise ValueError(
-            "layers/protection_masks are weight-domain controls; an "
-            "analogized model applies variation at crossbar programming "
-            "time — express per-layer analog scenarios with a LayerMap "
-            "spec instead"
-        )
     domain = "analog" if analog else "weight"
     if analog and dtype != "float64":
         raise ValueError(
@@ -313,10 +309,7 @@ def build_plan(
         default_chunk,
         chunk_samples,
         memory_budget_mb,
-        estimate_sample_bytes(
-            model, dataset, resolved, layers, protection_masks, data_block,
-            dtype,
-        ),
+        estimate_sample_bytes(model, dataset, resolved, data_block, dtype),
     )
     n_chunks = -(-n_samples // chunk)  # ceil division
 
@@ -368,7 +361,5 @@ def build_plan(
         stacked=sample_aware and backend != "loop",
         dtype=dtype,
         stopping=stopping,
-        layers=None if layers is None else list(layers),
-        protection_masks=protection_masks,
         backend_reason="; ".join(reasons) if reasons else None,
     )

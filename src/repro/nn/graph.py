@@ -29,8 +29,7 @@ The contract:
   per-layer variation specs all index into.
 
 No consumer may re-derive ordering from ``named_modules`` for these
-purposes; import from here (``repro.variation.injector`` re-exports
-:func:`weighted_layers` for backwards compatibility).
+purposes; import from here.
 """
 
 from __future__ import annotations

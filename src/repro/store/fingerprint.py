@@ -22,10 +22,9 @@ Canonicalization rules (the invariant ``docs/CONTRACTS.md`` records):
   dtypes, bytes), not a file path; dataset identity likewise digests the
   arrays. Content addressing is what lets fingerprints agree across
   machines with different checkout layouts;
-- plans carrying ``layers`` / ``protection_masks`` are rejected: those
-  hold live module references with no canonical serialization — express
-  per-layer scenarios as a ``LayerMap`` spec, which fingerprints cleanly
-  through ``to_dict``.
+- which layers vary is part of the spec: per-layer scenarios (Fig. 9's
+  tails included) are ``LayerMap`` specs and fingerprint through
+  ``to_dict`` like any other.
 
 No wall clock, no environment, no randomness may enter this module: a
 fingerprint computed today, on any machine, must equal one computed from
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.evaluation.plan import EvalPlan
-from repro.evaluation.sequential import FixedSamples, HalfWidthRule, StoppingRule
+from repro.evaluation.sequential import HalfWidthRule
 from repro.nn.module import Module
 from repro.variation.spec import to_dict as spec_to_dict
 
@@ -136,27 +135,17 @@ def dataset_digest(dataset: ArrayDataset) -> str:
     return _digest(parts)
 
 
-def stopping_payload(rule: Optional[StoppingRule]) -> Optional[Dict[str, Any]]:
-    """Canonical form of a stopping rule (``None`` = fixed-S protocol).
-
-    ``FixedSamples`` and ``None`` both mean "run the full cap" and
-    fingerprint identically; a rule class outside the known family has no
-    canonical form and is rejected.
-    """
-    if rule is None or isinstance(rule, FixedSamples):
+def stopping_payload(rule: Optional[HalfWidthRule]) -> Optional[Dict[str, Any]]:
+    """Canonical form of a stopping rule (``None`` = fixed-S protocol)."""
+    if rule is None:
         return None
-    if isinstance(rule, HalfWidthRule):
-        return {
-            "kind": "half_width",
-            "tolerance": rule.tolerance,
-            "confidence": rule.confidence,
-            "method": rule.method,
-            "min_samples": rule.min_samples,
-        }
-    raise ValueError(
-        f"stopping rule {type(rule).__name__} has no canonical fingerprint "
-        "form; only FixedSamples and HalfWidthRule are store-serializable"
-    )
+    return {
+        "kind": "half_width",
+        "tolerance": rule.tolerance,
+        "confidence": rule.confidence,
+        "method": rule.method,
+        "min_samples": rule.min_samples,
+    }
 
 
 def _seed_value(seed: Any) -> Union[int, str]:
@@ -187,12 +176,6 @@ def fingerprint_payload(
     them may change the result (the repo-wide paired-seed contract), so
     none may split the cache.
     """
-    if plan.layers is not None or plan.protection_masks:
-        raise ValueError(
-            "plans with layers/protection_masks are not fingerprintable "
-            "(live module references); express per-layer scenarios as a "
-            "LayerMap spec"
-        )
     return {
         "fingerprint_version": FINGERPRINT_VERSION,
         "model": model_digest,

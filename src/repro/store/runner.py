@@ -200,8 +200,7 @@ def cached_evaluate(
     store file, no lease (the evaluation runs right here, synchronously).
     On a miss the result is executed through the evaluator's own plan and
     recorded under a ``done`` job row, so pipeline runs, CLI jobs and
-    other machines all hit one cache. Layer subsets / protection masks
-    are not fingerprintable; callers needing them evaluate directly.
+    other machines all hit one cache.
     """
     was_training = model.training
     model.eval()

@@ -33,11 +33,7 @@ from repro.variation.spec import (
     to_dict,
     to_string,
 )
-from repro.variation.injector import (
-    VariationInjector,
-    perturbed,
-    weighted_layers,
-)
+from repro.variation.injector import VariationInjector, perturbed
 
 __all__ = [
     "VariationModel",
@@ -62,5 +58,4 @@ __all__ = [
     "from_string",
     "VariationInjector",
     "perturbed",
-    "weighted_layers",
 ]

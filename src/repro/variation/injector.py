@@ -5,8 +5,10 @@ graph topology, optimizers and crossbar mappings keep their references) and
 restores the nominal values on exit. Three orthogonal controls mirror the
 paper's experiments:
 
-- *which layers*: an explicit layer subset (Fig. 9 injects variations only
-  from layer i to the last layer);
+- *which layers*: the spec itself — a :class:`repro.variation.spec.LayerMap`
+  resolves per weighted layer, and layers resolving to ``NoVariation`` are
+  not targets at all (Fig. 9 injects variations only from layer i to the
+  last layer: ``repro.evaluation.layer_sweep.tail_spec``);
 - *digital immunity*: modules flagged ``digital = True`` (compensation
   generators/compensators, eq.-(12) overhead weights) are skipped —
   the paper assumes they run on variation-free digital circuits;
@@ -28,54 +30,24 @@ a pure performance knob (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from typing import TYPE_CHECKING
 
 from repro.nn.graph import weighted_layers
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import new_rng, spawn_rngs, SeedLike
-from repro.variation.models import VariationModel
+from repro.variation.models import NoVariation, VariationModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports models)
     from repro.variation.spec import VariationLike
 
-__all__ = [
-    "perturbed",
-    "VariationInjector",
-    "WEIGHT_ATTR_NAMES",
-    # Re-exported for backwards compatibility: the authoritative layer
-    # ordering lives in repro.nn.graph (the canonical module-graph walk).
-    "weighted_layers",
-]
+__all__ = ["perturbed", "VariationInjector", "WEIGHT_ATTR_NAMES"]
 
 #: Parameter attribute names treated as crossbar-mapped weights. Biases and
 #: batch-norm affine parameters are digital/peripheral state in typical
 #: RRAM accelerators, matching the paper's weight-only variation model.
 WEIGHT_ATTR_NAMES = ("weight",)
-
-
-def _iter_target_params(
-    module: Module, layers: Optional[Sequence[Module]]
-) -> Iterator[Tuple[str, Parameter, Module]]:
-    """Yield (qualified-name, parameter, owning module) triples subject to
-    variation."""
-    if layers is None:
-        targets = [m for _, m in weighted_layers(module)]
-    else:
-        targets = list(layers)
-    seen = set()
-    name_of = {id(sub): name for name, sub in module.named_modules()}
-    for sub in targets:
-        if id(sub) in seen:
-            continue
-        seen.add(id(sub))
-        for attr in WEIGHT_ATTR_NAMES:
-            param = sub._parameters.get(attr)
-            if param is not None:
-                yield f"{name_of.get(id(sub), '?')}.{attr}", param, sub
 
 
 class VariationInjector:
@@ -90,10 +62,9 @@ class VariationInjector:
         (``"lognormal:0.5+quant:4"``), or a spec dict — anything
         :func:`repro.variation.spec.parse_spec` accepts. A
         :class:`repro.variation.spec.LayerMap` resolves per weighted
-        layer (name and paper layer index) before perturbing.
-    layers:
-        Optional explicit subset of layer modules to perturb (default: all
-        non-digital weighted layers).
+        layer (name and paper layer index) before perturbing; layers
+        resolving to ``NoVariation`` are skipped (they keep their nominal
+        weights and draw nothing). Digital layers are never perturbed.
     protection_masks:
         Optional ``{qualified-param-name: bool array}``; entries that are
         ``True`` are held at their nominal value (digitally protected).
@@ -112,7 +83,6 @@ class VariationInjector:
         self,
         model: Module,
         variation: "VariationLike",
-        layers: Optional[Sequence[Module]] = None,
         protection_masks: Optional[Dict[str, np.ndarray]] = None,
         dtype: str = "float64",
     ) -> None:
@@ -120,7 +90,6 @@ class VariationInjector:
 
         self.model = model
         self.variation = parse_spec(variation)
-        self.layers = layers
         self.protection_masks = protection_masks or {}
         self.dtype = str(np.dtype(dtype))
         self._target_cache: Optional[
@@ -130,13 +99,15 @@ class VariationInjector:
     def _targets(self) -> List[Tuple[str, Parameter, VariationModel]]:
         """(param-name, parameter, resolved model) triples in injection order.
 
-        The per-layer model comes from ``variation.model_for`` with the
-        layer's qualified name and its index in the full
-        :func:`weighted_layers` ordering (the paper's layer indexing) — a
-        plain :class:`VariationModel` resolves to itself, a ``LayerMap``
-        dispatches. Resolution is positionally stable, so the paired-seed
-        contract is untouched: stream consumption per parameter depends
-        only on the resolved model, identically in every engine.
+        One pass over :func:`weighted_layers` (the paper's layer indexing):
+        each layer's model comes from ``variation.model_for`` with its
+        qualified name and index — a plain :class:`VariationModel` resolves
+        to itself, a ``LayerMap`` dispatches. Layers resolving to
+        :class:`NoVariation` are not targets: its ``perturb`` returns the
+        input and draws nothing, so skipping them leaves every other
+        layer's stream consumption — and therefore the paired-seed
+        contract — untouched, while the skipped layer keeps its shared
+        nominal weights on every engine.
 
         Computed once per injector: an injector binds to the module tree
         as constructed (the Monte-Carlo loop calls :meth:`applied` per
@@ -144,16 +115,20 @@ class VariationInjector:
         structural surgery like ``CompensationPlan.apply``).
         """
         if self._target_cache is None:
-            all_layers = weighted_layers(self.model)
-            index_of = {id(sub): i for i, (_, sub) in enumerate(all_layers)}
-            n_layers = len(all_layers)
+            layers = weighted_layers(self.model)
             out = []
-            for name, param, sub in _iter_target_params(self.model, self.layers):
-                layer_name = name.rsplit(".", 1)[0]
-                model = self.variation.model_for(
-                    layer_name, index_of.get(id(sub)), n_layers
-                )
-                out.append((name, param, model))
+            seen = set()
+            for index, (layer_name, sub) in enumerate(layers):
+                if id(sub) in seen:  # a module registered twice is one layer
+                    continue
+                seen.add(id(sub))
+                model = self.variation.model_for(layer_name, index, len(layers))
+                if isinstance(model, NoVariation):
+                    continue
+                for attr in WEIGHT_ATTR_NAMES:
+                    param = sub._parameters.get(attr)
+                    if param is not None:
+                        out.append((f"{layer_name}.{attr}", param, model))
             self._target_cache = out
         return self._target_cache
 
@@ -304,7 +279,6 @@ def perturbed(
     model: Module,
     variation: "VariationLike",
     seed: SeedLike = None,
-    layers: Optional[Sequence[Module]] = None,
     protection_masks: Optional[Dict[str, np.ndarray]] = None,
 ) -> Iterator[Module]:
     """One-shot convenience wrapper around :class:`VariationInjector`.
@@ -313,6 +287,6 @@ def perturbed(
     ...     logits = model(x)            # runs with deviated weights
     >>> # weights restored here
     """
-    injector = VariationInjector(model, variation, layers, protection_masks)
+    injector = VariationInjector(model, variation, protection_masks)
     with injector.applied(seed):
         yield model

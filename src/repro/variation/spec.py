@@ -188,7 +188,7 @@ class LayerMap(VariationModel):
     """Per-layer overrides over a default spec.
 
     Keys of ``overrides`` are either weighted-layer indices (the paper's
-    layer ordering, ``repro.variation.injector.weighted_layers``; negative
+    layer ordering, ``repro.nn.graph.weighted_layers``; negative
     indices count from the last layer) or qualified module names
     (``"net.0"``). Name matches take precedence over index matches.
     Without layer context (:meth:`perturb` on a bare array, e.g. a lone

@@ -105,14 +105,6 @@ class TestAnalogDispatch:
         assert len(result.accuracies) == 1
         assert result.accuracies[0] == accuracy(model, tiny_test)
 
-    def test_weight_domain_controls_rejected(self, analog_lenet, tiny_test):
-        ev = MonteCarloEvaluator(tiny_test, n_samples=2, seed=0)
-        with pytest.raises(ValueError, match="LayerMap"):
-            ev.evaluate(analog_lenet, LogNormalVariation(0.5), layers=[])
-        with pytest.raises(ValueError, match="LayerMap"):
-            ev.evaluate(analog_lenet, LogNormalVariation(0.5),
-                        protection_masks={"x": np.ones(1, dtype=bool)})
-
     def test_programmed_state_restored(self, analog_lenet, tiny_test,
                                        composed_spec):
         """Evaluation must not permanently reprogram the deployed chip."""

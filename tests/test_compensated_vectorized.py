@@ -14,7 +14,7 @@ from repro.compensation import CompensationPlan, CompensationTrainer
 from repro.core.config import CompensationConfig, EvalConfig
 from repro.evaluation import MonteCarloEvaluator, supports_sample_axis
 from repro.rl.env import CompensationEnv
-from repro.variation import LogNormalVariation, weighted_layers
+from repro.variation import LayerMap, LogNormalVariation, NoVariation
 
 
 def _compensated_lenet(lenet, seed=1):
@@ -92,30 +92,13 @@ class TestCompensatedEngineEquivalence:
         """Only the first (compensated) conv varied: stacked activations
         flow through later unstacked compensated/plain layers."""
         comp = _compensated_lenet(lenet)
-        first = [weighted_layers(comp)[0][1]]
+        first = LayerMap(NoVariation(), {0: LogNormalVariation(0.5)})
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                   vectorized=True)
-        variation = LogNormalVariation(0.5)
-        assert (vec.evaluate(comp, variation, layers=first).accuracies
-                == loop.evaluate(comp, variation, layers=first).accuracies)
-
-    def test_protection_masks_match_loop(self, lenet, tiny_test):
-        comp = _compensated_lenet(lenet)
-        name, layer = weighted_layers(comp)[1]
-        mask = np.zeros_like(layer.weight.data, dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
-        loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=9,
-                                   vectorized=False)
-        vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=9,
-                                  vectorized=True)
-        variation = LogNormalVariation(0.6)
-        assert (vec.evaluate(comp, variation,
-                             protection_masks=masks).accuracies
-                == loop.evaluate(comp, variation,
-                                 protection_masks=masks).accuracies)
+        assert (vec.evaluate(comp, first).accuracies
+                == loop.evaluate(comp, first).accuracies)
 
     def test_weights_restored_after_vectorized(self, lenet, tiny_test):
         comp = _compensated_lenet(lenet)

@@ -12,7 +12,8 @@ from repro.compensation import (
 )
 from repro.data import ArrayDataset
 from repro.models import LeNet5
-from repro.variation import LogNormalVariation, weighted_layers
+from repro.nn.graph import weighted_layers
+from repro.variation import LogNormalVariation
 
 
 class TestCompensatedConv2d:

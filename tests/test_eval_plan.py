@@ -19,6 +19,7 @@ from repro.evaluation import (
     estimate_sample_bytes,
     execute,
     MonteCarloEvaluator,
+    tail_spec,
 )
 from repro.evaluation.plan import resolve_chunk_samples
 from repro.hardware import ADC, analog_layers, analogize, DAC
@@ -26,7 +27,6 @@ from repro.variation import (
     ColumnCorrelatedVariation,
     LogNormalVariation,
     NoVariation,
-    weighted_layers,
 )
 
 
@@ -199,17 +199,6 @@ class TestPlanBuilding:
         assert not build_plan(noisy, tiny_test, NoVariation(), n_samples=3,
                               seed=0).deterministic
 
-    def test_analog_rejects_weight_domain_controls(self, lenet, tiny_test):
-        analog = analogize(lenet, tile_size=32)
-        with pytest.raises(ValueError, match="LayerMap"):
-            build_plan(analog, tiny_test, LogNormalVariation(0.3),
-                       n_samples=2, seed=0, layers=[])
-        with pytest.raises(ValueError, match="LayerMap"):
-            MonteCarloEvaluator(tiny_test, n_samples=2).evaluate(
-                analog, LogNormalVariation(0.3),
-                protection_masks={"x": np.ones(1, dtype=bool)},
-            )
-
     def test_chunk_and_shard_schedules(self, mlp, blob_dataset):
         mlp.eval()
         plan = build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
@@ -232,11 +221,23 @@ class TestPlanBuilding:
         lenet.eval()
         all_bytes = estimate_sample_bytes(lenet, tiny_test,
                                           LogNormalVariation(0.3))
-        subset = [weighted_layers(lenet)[0][1]]
-        subset_bytes = estimate_sample_bytes(lenet, tiny_test,
-                                             LogNormalVariation(0.3),
-                                             layers=subset)
+        tail = tail_spec(lenet, LogNormalVariation(0.3), 2)
+        subset_bytes = estimate_sample_bytes(lenet, tiny_test, tail)
         assert all_bytes > subset_bytes > 0
+
+    @pytest.mark.parametrize("knob,value", [
+        ("chunk_samples", 0), ("chunk_samples", -5), ("default_chunk", 0),
+        ("data_block", 0), ("batch_size", 0), ("memory_budget_mb", 0.0),
+        ("n_workers", -1),
+    ])
+    def test_build_plan_rejects_invalid_knobs(self, mlp, blob_dataset,
+                                              knob, value):
+        """Every caller's knobs are checked where plans are built, not
+        only by the evaluator: store jobs reach ``build_plan`` directly."""
+        mlp.eval()
+        with pytest.raises(ValueError, match=knob):
+            build_plan(mlp, blob_dataset, LogNormalVariation(0.3),
+                       n_samples=4, seed=0, **{knob: value})
 
     def test_invalid_evaluator_knobs(self, blob_dataset):
         with pytest.raises(ValueError):
@@ -287,7 +288,9 @@ class TestPlanExecutionParity:
     def test_empty_layer_subset_replicates_nominal(self, mlp, blob_dataset):
         ev = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=0,
                                  vectorized=True, chunk_samples=2)
-        result = ev.evaluate(mlp, LogNormalVariation(0.5), layers=[])
+        # The MLP has two weighted layers: a tail from layer 3 varies none.
+        everything_excluded = tail_spec(mlp, LogNormalVariation(0.5), 3)
+        result = ev.evaluate(mlp, everything_excluded)
         clean = accuracy(mlp, blob_dataset)
         assert result.accuracies == [clean] * 4
 

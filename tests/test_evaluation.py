@@ -9,10 +9,11 @@ import repro.nn as nn
 from repro.data import ArrayDataset
 from repro.evaluation import (
     ErrorPropagationTracer, MonteCarloEvaluator, accuracy, layer_sweep,
-    recovery_ratio, select_candidates,
+    recovery_ratio, select_candidates, tail_spec,
 )
 from repro.models import MLP
-from repro.variation import LogNormalVariation, NoVariation, weighted_layers
+from repro.nn.graph import weighted_layers
+from repro.variation import LayerMap, LogNormalVariation, NoVariation
 
 
 class _ConstantModel(nn.Module):
@@ -249,20 +250,16 @@ class TestVectorizedEngine:
         assert r_vec.accuracies == r_loop.accuracies
 
     def test_layer_subset_and_masks_match_loop(self, lenet, tiny_test):
-        layers = [m for _, m in weighted_layers(lenet)][2:]
-        name = weighted_layers(lenet)[2][0]
-        mask = np.zeros_like(weighted_layers(lenet)[2][1].weight.data,
-                             dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
+        """A Fig. 9 tail (layers 3..L varied) pairs with the loop.
+        Protection masks are an injector control, covered in
+        ``test_variation_injector``."""
+        spec = tail_spec(lenet, LogNormalVariation(0.6), 3)
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=5,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=5,
                                   vectorized=True)
-        r_loop = loop.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
-                               protection_masks=masks)
-        r_vec = vec.evaluate(lenet, LogNormalVariation(0.6), layers=layers,
-                             protection_masks=masks)
+        r_loop = loop.evaluate(lenet, spec)
+        r_vec = vec.evaluate(lenet, spec)
         assert r_vec.accuracies == r_loop.accuracies
 
     def test_weights_restored_after_vectorized(self, lenet, tiny_test):
@@ -276,7 +273,9 @@ class TestVectorizedEngine:
     def test_empty_layer_subset_replicates_nominal(self, mlp, blob_dataset):
         vec = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=0,
                                   vectorized=True)
-        result = vec.evaluate(mlp, LogNormalVariation(0.5), layers=[])
+        n_layers = len(weighted_layers(mlp))
+        result = vec.evaluate(
+            mlp, tail_spec(mlp, LogNormalVariation(0.5), n_layers + 1))
         clean = accuracy(mlp, blob_dataset)
         assert result.accuracies == [clean] * 4
 
@@ -371,21 +370,14 @@ class TestProcessPoolEngine:
         assert r_pool.accuracies == r_loop.accuracies
 
     def test_pool_layer_subset_and_masks_match_loop(self, lenet, tiny_test):
-        """A live ``layers`` subset plus protection masks rides the shm
-        transport: the subset travels inside the same pickle as the model,
-        so worker-side module identity survives and every draw pairs with
-        the loop."""
-        layers = [m for _, m in weighted_layers(lenet)][1:]
-        name = weighted_layers(lenet)[1][0]
-        mask = np.zeros_like(weighted_layers(lenet)[1][1].weight.data,
-                             dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
+        """A tail spec rides the shm transport like any other spec: the
+        workers resolve it against their own copy of the model, and every
+        draw pairs with the loop."""
+        spec = tail_spec(lenet, LogNormalVariation(0.6), 2)
         results = [
             MonteCarloEvaluator(tiny_test, n_samples=5, seed=9,
                                 chunk_samples=2, **kwargs).evaluate(
-                lenet, LogNormalVariation(0.6), layers=layers,
-                protection_masks=masks).accuracies
+                lenet, spec).accuracies
             for kwargs in (dict(vectorized=False),
                            dict(vectorized=False, n_workers=2))
         ]
@@ -405,41 +397,37 @@ class TestProcessPoolEngine:
 
 class TestSweepSigmaThreading:
     def test_sweep_forwards_layers_and_masks(self, lenet, tiny_test):
-        """sweep_sigma must produce the same results as calling evaluate
-        per sigma with the same layer subset and protection masks."""
-        layers = [m for _, m in weighted_layers(lenet)][1:]
-        name = weighted_layers(lenet)[1][0]
-        mask = np.zeros_like(weighted_layers(lenet)[1][1].weight.data,
-                             dtype=bool)
-        mask[0] = True
-        masks = {f"{name}.weight": mask}
+        """sweep_sigma over a tail spec must produce the same results as
+        calling evaluate per sigma on the same tail: scaling keeps the
+        excluded layers excluded."""
         ev = MonteCarloEvaluator(tiny_test, n_samples=3, seed=4)
-        swept = ev.sweep_sigma(lenet, LogNormalVariation(0.5), [0.2, 0.4],
-                               layers=layers, protection_masks=masks)
+        swept = ev.sweep_sigma(
+            lenet, tail_spec(lenet, LogNormalVariation(0.5), 2), [0.2, 0.4])
         for sigma, result in zip([0.2, 0.4], swept):
-            direct = ev.evaluate(lenet, LogNormalVariation(sigma),
-                                 layers=layers, protection_masks=masks)
+            direct = ev.evaluate(
+                lenet, tail_spec(lenet, LogNormalVariation(sigma), 2))
             assert result.accuracies == direct.accuracies
 
     def test_prefix_layer_subset_matches_loop(self, lenet, tiny_test):
         """Stacked activations flowing into later *unstacked* layers (a
         prefix subset: only conv1 varied) must work and pair with the
         loop — plain-weight kernels broadcast over the sample axis."""
-        first = [weighted_layers(lenet)[0][1]]
+        first = LayerMap(NoVariation(), {0: LogNormalVariation(0.5)})
         loop = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                    vectorized=False)
         vec = MonteCarloEvaluator(tiny_test, n_samples=4, seed=6,
                                   vectorized=True)
-        r_loop = loop.evaluate(lenet, LogNormalVariation(0.5), layers=first)
-        r_vec = vec.evaluate(lenet, LogNormalVariation(0.5), layers=first)
+        r_loop = loop.evaluate(lenet, first)
+        r_vec = vec.evaluate(lenet, first)
         assert r_vec.accuracies == r_loop.accuracies
 
     def test_middle_layer_subset_matches_loop(self, mlp, blob_dataset):
-        middle = [weighted_layers(mlp)[0][1]]  # first linear only
+        # first linear only
+        middle = LayerMap(NoVariation(), {0: LogNormalVariation(0.5)})
         loop = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=6,
                                    vectorized=False)
         vec = MonteCarloEvaluator(blob_dataset, n_samples=4, seed=6,
                                   vectorized=True)
-        r_loop = loop.evaluate(mlp, LogNormalVariation(0.5), layers=middle)
-        r_vec = vec.evaluate(mlp, LogNormalVariation(0.5), layers=middle)
+        r_loop = loop.evaluate(mlp, middle)
+        r_vec = vec.evaluate(mlp, middle)
         assert r_vec.accuracies == r_loop.accuracies

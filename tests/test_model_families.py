@@ -22,7 +22,8 @@ from repro.evaluation.vectorized import sample_axis_blockers
 from repro.hardware import analog_layers, analogize
 from repro.hardware.cost import CrossbarCostModel
 from repro.models import AttnMLP, build_model, available_models, ResNet8
-from repro.variation import LogNormalVariation, VariationInjector, weighted_layers
+from repro.nn.graph import weighted_layers
+from repro.variation import LogNormalVariation, VariationInjector
 
 COMPOSED_SPEC = "lognormal:0.4+quant:4"
 

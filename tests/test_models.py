@@ -6,7 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.data import ArrayDataset
 from repro.models import LeNet5, MLP, VGG, available_models, build_model
-from repro.variation import weighted_layers
+from repro.nn.graph import weighted_layers
 
 
 class TestLeNet5:

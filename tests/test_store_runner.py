@@ -161,6 +161,17 @@ class TestDrain:
         with pytest.raises(ValueError, match="at least 1"):
             drain(store, owner="w", max_chunks_per_job=0)
 
+    @pytest.mark.parametrize("knob,value", [
+        ("chunk_samples", 0), ("chunk_samples", -5), ("data_block", 0),
+        ("batch_size", 0),
+    ])
+    def test_materialize_rejects_invalid_knobs(self, knob, value):
+        """A bad execution knob fails at submit time, not after a runner
+        claimed the job (``data_block=0``) and never silently becomes a
+        one-sample chunk (``chunk_samples<=0``)."""
+        with pytest.raises(ValueError, match=knob):
+            materialize(_request(**{knob: value}))
+
 
 class TestCachedEvaluate:
     def test_miss_executes_and_matches_direct(self, tmp_path):

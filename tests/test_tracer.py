@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.evaluation import ErrorPropagationTracer
-from repro.variation import (
-    LogNormalVariation,
-    NoVariation,
-    weighted_layers,
-)
+from repro.nn.graph import weighted_layers
+from repro.variation import LogNormalVariation, NoVariation
 
 
 @pytest.fixture()

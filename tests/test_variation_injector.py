@@ -6,9 +6,9 @@ import pytest
 import repro.nn as nn
 from repro.autograd import Tensor
 from repro.compensation import CompensationPlan
-from repro.variation import (
-    LogNormalVariation, VariationInjector, perturbed, weighted_layers,
-)
+from repro.evaluation import tail_spec
+from repro.nn.graph import weighted_layers
+from repro.variation import LogNormalVariation, VariationInjector, perturbed
 
 
 def _snapshot(model):
@@ -65,10 +65,9 @@ class TestPerturbed:
             np.testing.assert_array_equal(before[name], after[name])
 
     def test_layer_subset_only(self, lenet):
-        layers = [m for _, m in weighted_layers(lenet)]
         before = _snapshot(lenet)
-        with perturbed(lenet, LogNormalVariation(0.8), seed=0,
-                       layers=layers[2:]):
+        with perturbed(lenet, tail_spec(lenet, LogNormalVariation(0.8), 3),
+                       seed=0):
             inside = _snapshot(lenet)
         # first two conv weights untouched
         np.testing.assert_array_equal(before["net.0.weight"],
@@ -173,7 +172,6 @@ class TestSampleBatch:
             np.testing.assert_array_equal(before[name], after[name])
 
     def test_respects_protection_masks(self, lenet):
-        from repro.variation import weighted_layers
         name, layer = weighted_layers(lenet)[0]
         mask = np.zeros_like(layer.weight.data, dtype=bool)
         mask[0] = True
