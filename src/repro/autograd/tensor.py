@@ -37,6 +37,13 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released() -> None:
+    raise RuntimeError(
+        "backward() through a graph an earlier backward() already ran: "
+        "its tape is released; run the forward pass again"
+    )
+
+
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff.
 
@@ -151,6 +158,13 @@ class Tensor:
         ``grad`` defaults to ones (standard for scalar losses). Gradients
         accumulate into :attr:`grad` of every reachable tensor with
         ``requires_grad=True``.
+
+        The pass then releases the tape: every closure it visited is
+        dropped, which breaks the closure-to-output reference cycles so
+        the graph is freed as soon as its loss goes out of scope rather
+        than when the cyclic collector next runs. A later backward()
+        through any of those nodes raises instead of silently adding
+        nothing.
         """
         if grad is None:
             if self.data.size != 1:
@@ -183,12 +197,17 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        if any(node._backward_fn is _released for node in topo):
+            _released()
         if self.grad is None:
             self.grad = np.zeros_like(self.data, dtype=np.float64)
         self.grad += grad
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._backward_fn is not None and node.grad is not None:
+                node._backward_fn()
+        for node in topo:
+            if node._backward_fn is not None:
+                node._backward_fn = _released
 
     # ------------------------------------------------------------------
     # Binary arithmetic

@@ -122,7 +122,7 @@ class AnalogLinear(_AnalogBase):
         feature convention of the vectorized engine."""
         out = self.array.mvm(x.data if isinstance(x, Tensor) else np.asarray(x))
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias  # ``out`` is the array's fresh result
         return Tensor(out)
 
     def extra_repr(self) -> str:
@@ -193,20 +193,22 @@ class AnalogConv2d(_AnalogBase):
             ow = conv_output_size(w, kw, self.stride, self.padding)
             flat = im2col_windows(data, (kh, kw), self.stride, self.padding)
             out = self.array.mvm(flat)  # (N*P, F) or stacked (S, N*P, F)
+        # Rows come back pixel-major; one pass writes the channel-major
+        # layout (S, F, N, P) / (N, F, P) with the bias added on the way.
         if out.ndim == 3:
             s = out.shape[0]
-            out = np.ascontiguousarray(
-                out.reshape(s, n, oh * ow, f).transpose(0, 3, 1, 2)
-            ).reshape(s, f, n, oh, ow)
-            if self.bias is not None:
-                out = out + self.bias.reshape(1, -1, 1, 1, 1)
+            rows = out.reshape(s, n, oh * ow, f).transpose(0, 3, 1, 2)
+            shape: Tuple[int, ...] = (s, f, n, oh, ow)
         else:
-            out = np.ascontiguousarray(
-                out.reshape(n, oh * ow, f).transpose(0, 2, 1)
-            ).reshape(n, f, oh, ow)
-            if self.bias is not None:
-                out = out + self.bias.reshape(1, -1, 1, 1)
-        return Tensor(out)
+            rows = out.reshape(n, oh * ow, f).transpose(0, 2, 1)
+            shape = (n, f, oh, ow)
+        maps = np.empty(rows.shape, dtype=rows.dtype)
+        if self.bias is None:
+            np.copyto(maps, rows)
+        else:
+            bias = self.bias.reshape((f,) + (1,) * (rows.ndim - 2))
+            np.add(rows, bias, out=maps)
+        return Tensor(maps.reshape(shape))
 
     def extra_repr(self) -> str:
         return (

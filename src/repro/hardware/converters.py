@@ -40,20 +40,47 @@ class _UniformQuantizer:
     def levels(self) -> Optional[int]:
         return None if self.bits is None else 2**self.bits
 
-    def quantize(self, values: np.ndarray, full_scale: float) -> np.ndarray:
-        """Quantize ``values`` assuming range [-full_scale, +full_scale]."""
+    def quantize(
+        self,
+        values: np.ndarray,
+        full_scale: float,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Quantize ``values`` assuming range [-full_scale, +full_scale].
+
+        The result is written into ``out`` when given (which may be
+        ``values`` itself, for a caller that owns its buffer); otherwise
+        into one fresh array. ``values`` is only written when it is
+        ``out``. Every stage after the clip runs in place on that one
+        array, with the same operations in the same order as the
+        textbook ``clip(round(clip(x) / step), -m, m) * step`` — so the
+        result is bitwise what that expression returns.
+        """
         if self.bits is None or full_scale <= 0:
-            return values
-        clipped = np.clip(values, -full_scale, full_scale)
+            if out is None or out is values:
+                return values
+            out[...] = values
+            return out
         if self.bits == 1:
-            # Mid-rise sign converter (see module docstring).
+            # Mid-rise sign converter (see module docstring). Clipping
+            # keeps the sign, so the comparator reads ``values`` directly:
+            # 1.0 where negative, then ``half - fs`` is exactly ``-half``.
             half = 0.5 * full_scale
-            return np.where(clipped < 0, -half, half)
+            q = np.empty(np.shape(values)) if out is None else out
+            np.less(values, 0, out=q)
+            q *= -full_scale
+            q += half
+            return q
+        q = np.clip(values, -full_scale, full_scale, out=out)
         m = 2 ** (self.bits - 1) - 1
         step = full_scale / m
+        q /= step
+        np.round(q, out=q)
         # The clip bounds the code index against float round-off at the
         # exact boundaries; in-range values already round to [-m, m].
-        return np.clip(np.round(clipped / step), -m, m) * step
+        np.clip(q, -m, m, out=q)
+        q *= step
+        return q
 
 
 class DAC(_UniformQuantizer):

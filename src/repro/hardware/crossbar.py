@@ -337,6 +337,8 @@ class Crossbar:
                     stacklevel=2,
                 )
                 self._clip_warned = True
+        # From here on every stage runs in place on ``currents``, the
+        # fresh array the MAC returned: read noise, ADC, decode.
         if self.read_noise_sigma > 0:
             noise_scale = self.read_noise_sigma * full_scale
             if currents.ndim == 3 and self._read_rngs is not None:
@@ -347,27 +349,42 @@ class Crossbar:
                         "seed_read_noise_batch with one seed per sample"
                     )
                 # One (batch, out) draw per sample from its own stream —
-                # the same consumption the scalar path makes per call.
-                # Accumulated in place, slice by slice: the stacked block
-                # is S× an ordinary activation, so a stacked noise
-                # temporary + full-block add would double its traffic.
-                if not currents.flags.writeable:
-                    currents = currents.copy()
-                for i, rng in enumerate(self._read_rngs):
-                    currents[i] += rng.normal(
-                        0.0, noise_scale, size=currents.shape[1:]
-                    )
+                # the same consumption the scalar path makes per call —
+                # into one buffer reused across samples.
+                noise = np.empty(currents.shape[1:])
+                for sample, rng in zip(currents, self._read_rngs):
+                    self._add_read_noise(sample, rng, noise_scale, noise)
             else:
-                currents = currents + self._read_rng.normal(
-                    0.0, noise_scale, size=currents.shape
+                self._add_read_noise(
+                    currents, self._read_rng, noise_scale, np.empty(currents.shape)
                 )
-        currents = self.adc.quantize(currents, full_scale)
-
-        out = currents / span * self._scale
+        self.adc.quantize(currents, full_scale, out=currents)
+        currents /= span
+        currents *= self._scale
         if squeeze:
             # (batch=1, out) -> (out,); stacked (S, 1, out) -> (S, out).
-            return out[..., 0, :]
-        return out
+            return currents[..., 0, :]
+        return currents
+
+    @staticmethod
+    def _add_read_noise(
+        currents: np.ndarray,
+        rng: np.random.Generator,
+        noise_scale: float,
+        noise: np.ndarray,
+    ) -> None:
+        """``currents += rng.normal(0.0, noise_scale, currents.shape)``,
+        bitwise, through the caller's ``noise`` buffer.
+
+        ``Generator.normal(loc, scale)`` computes ``loc + scale * z`` with
+        ``z`` the next ``standard_normal`` of the same stream, and
+        ``0.0 + y == y`` for every nonzero ``y`` — so filling ``noise``
+        with ``z`` and scaling it in place adds the same values the
+        ``normal`` draw would, without its two full-size temporaries.
+        """
+        rng.standard_normal(out=noise)
+        noise *= noise_scale
+        currents += noise
 
     def _ir_drop_attenuation(self) -> np.ndarray:
         """Per-cell attenuation factor from wordline/bitline IR drop.

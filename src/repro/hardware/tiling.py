@@ -205,10 +205,12 @@ class TiledCrossbarArray:
             n_stacked = x.shape[0]
         batch = x.shape[-2]
         lead = () if n_stacked is None else (n_stacked,)
+        # Partial sums add in place into the zeroed output columns, in
+        # column-tile order: ``0.0 + p0 + p1 + ...``. The zero start is
+        # part of the result (a lone ``-0.0`` partial sum reads ``0.0``).
         out = np.zeros(lead + (batch, self.weights_shape[0]))
         for (r0, r1), row in zip(self.row_ranges, self.tiles):
-            acc = np.zeros(lead + (batch, r1 - r0))
+            acc = out[..., r0:r1]
             for (c0, c1), tile in zip(self.col_ranges, row):
                 acc += tile.mvm(x[..., c0:c1])
-            out[..., r0:r1] = acc
         return out[..., 0, :] if squeeze else out

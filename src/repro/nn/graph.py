@@ -56,16 +56,18 @@ def module_walk(
     """
     if not into_digital and _is_digital(root):
         return
-
-    def _walk(prefix: str, module: Module) -> Iterator[Tuple[str, Module]]:
+    # An explicit stack rather than a recursive closure: a nested
+    # generator that calls itself is a reference cycle per walk.
+    stack = [("", root)]
+    while stack:
+        prefix, module = stack.pop()
         yield prefix, module
-        for name, child in module._modules.items():
-            if not into_digital and _is_digital(child):
-                continue
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from _walk(child_prefix, child)
-
-    yield from _walk("", root)
+        children = [
+            (f"{prefix}.{name}" if prefix else name, child)
+            for name, child in module._modules.items()
+            if into_digital or not _is_digital(child)
+        ]
+        stack.extend(reversed(children))
 
 
 def weighted_layers(module: Module) -> List[Tuple[str, Module]]:

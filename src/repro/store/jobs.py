@@ -26,6 +26,7 @@ poisoning the cache under the old fingerprint.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -42,12 +43,33 @@ from repro.store.fingerprint import (
 )
 from repro.variation.spec import from_dict as spec_from_dict
 
+DatasetPair = Tuple[ArrayDataset, ArrayDataset]
+
 #: Dataset registry shared with the CLIs (name -> (train, test) factory).
-DATASET_FACTORIES: Dict[str, Callable[[], Tuple[ArrayDataset, ArrayDataset]]] = {
+DATASET_FACTORIES: Dict[str, Callable[[], DatasetPair]] = {
     "synth_mnist": synth_mnist,
     "synth_cifar10": synth_cifar10,
     "synth_cifar100": synth_cifar100,
 }
+
+#: What each factory returned, keyed by the factory object rather than
+#: its registry name — a factory swapped into ``DATASET_FACTORIES`` gets
+#: its own entry — and shared read-only by every later ``materialize``.
+_DATASETS: "weakref.WeakKeyDictionary[Callable[[], DatasetPair], DatasetPair]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _datasets(factory: Callable[[], DatasetPair]) -> DatasetPair:
+    """``factory()``, synthesized once per factory object."""
+    pair = _DATASETS.get(factory)
+    if pair is None:
+        pair = factory()
+        for dataset in pair:
+            dataset.images.setflags(write=False)
+            dataset.labels.setflags(write=False)
+        _DATASETS[factory] = pair
+    return pair
 
 
 @dataclass(frozen=True)
@@ -194,7 +216,7 @@ def materialize(request: JobRequest) -> Materialized:
             f"unknown dataset {request.dataset!r}; choose from "
             f"{sorted(DATASET_FACTORIES)}"
         ) from None
-    train, test = factory()
+    train, test = _datasets(factory)
     model = build_model(request.model, train, seed=request.model_seed)
     if request.checkpoint is not None:
         model.load(request.checkpoint)

@@ -264,3 +264,36 @@ class TestBroadcastTo:
         assert out.shape == (3, 5, 4)
         out.backward(np.ones((3, 5, 4)))
         np.testing.assert_allclose(x.grad, np.full((5, 4), 3.0))
+
+
+class TestTapeRelease:
+    """backward() releases the tape it ran; a second pass raises."""
+
+    def test_second_backward_raises(self):
+        x = Tensor(2.0, requires_grad=True)
+        y = x * x
+        y.backward()
+        with pytest.raises(RuntimeError, match="tape is released"):
+            y.backward()
+        assert x.grad == pytest.approx(4.0)  # the refused pass added nothing
+
+    def test_new_loss_through_a_released_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = x * 2
+        hidden.sum().backward()
+        with pytest.raises(RuntimeError, match="tape is released"):
+            (hidden * 3).sum().backward()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
+
+    def test_a_fresh_forward_backpropagates_again(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        for _ in range(2):
+            (x * 2).sum().backward()
+        np.testing.assert_allclose(x.grad, [4.0, 4.0, 4.0])
+
+    def test_leaves_and_constants_are_reusable(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        const = Tensor(np.full(3, 5.0)) * 2  # off the tape: no closure
+        (x * const).sum().backward()
+        (x * const).sum().backward()
+        np.testing.assert_allclose(x.grad, [20.0, 20.0, 20.0])

@@ -1,12 +1,14 @@
 """The shared Trainer: learning, regularization, noise injection, warmup."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core import Trainer
 from repro.evaluation import accuracy
 from repro.lipschitz import OrthogonalityRegularizer, layer_spectral_norms
-from repro.models import MLP
+from repro.models import LeNet5, MLP
 from repro.optim import Adam, StepSchedule
 from repro.variation import LogNormalVariation, VariationInjector
 
@@ -62,6 +64,32 @@ class TestBasicTraining:
             scheduler=StepSchedule(opt, step_size=1, gamma=0.5),
         )
         assert opt.lr == pytest.approx(0.01 * 0.5**4)
+
+
+class TestTapeRelease:
+    """A training step frees its graph by reference counting alone."""
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"regularizer": OrthogonalityRegularizer(lam=1.0)},
+        {"variation": "lognormal:0.3"},
+    ], ids=["plain", "lipschitz", "noise-aware"])
+    def test_training_step_leaves_no_reference_cycle(self, options):
+        model = LeNet5(num_classes=10, in_channels=1, input_size=16,
+                       width_multiplier=0.5, seed=0)
+        trainer = Trainer(model, Adam(list(model.parameters()), lr=1e-3),
+                          seed=0, **options)
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(8, 1, 16, 16))
+        labels = rng.integers(0, 10, size=8)
+        trainer._train_batch(images, labels)  # optimizer state allocated
+        gc.collect()
+        gc.disable()
+        try:
+            trainer._train_batch(images, labels)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRegularizedTraining:

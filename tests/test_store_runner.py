@@ -173,6 +173,52 @@ class TestDrain:
             materialize(_request(**{knob: value}))
 
 
+class TestMaterializeDatasets:
+    """``materialize`` synthesizes each dataset factory once."""
+
+    @staticmethod
+    def _counting(monkeypatch, calls, **sizes):
+        from repro.store import jobs as store_jobs
+
+        def factory():
+            calls.append(1)
+            return synth_mnist(**sizes)
+
+        monkeypatch.setitem(store_jobs.DATASET_FACTORIES, "synth_mnist", factory)
+
+    def test_factory_runs_once_across_materializes(self, monkeypatch):
+        calls = []
+        self._counting(monkeypatch, calls, train_per_class=6, test_per_class=3)
+        first = materialize(_request())
+        second = materialize(_request(seed=8))
+        third = materialize(_request())
+        assert len(calls) == 1
+        assert second.dataset is first.dataset
+        assert third.fingerprint == first.fingerprint
+
+    def test_fingerprint_matches_a_fresh_synthesis(self, monkeypatch):
+        """The memo hands out the very arrays a fresh factory call makes."""
+        cached = materialize(_request()).fingerprint
+        self._counting(monkeypatch, [], train_per_class=6, test_per_class=3)
+        assert materialize(_request()).fingerprint == cached
+
+    def test_swapped_factory_gets_its_own_entry(self, monkeypatch):
+        small = materialize(_request())
+        calls = []
+        self._counting(monkeypatch, calls, train_per_class=6, test_per_class=4)
+        larger = materialize(_request())
+        assert len(calls) == 1
+        assert len(larger.dataset) == len(small.dataset) + 10
+        assert larger.fingerprint != small.fingerprint
+
+    def test_cached_arrays_are_read_only(self):
+        dataset = materialize(_request()).dataset
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.images[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.labels[0] = 1
+
+
 class TestCachedEvaluate:
     def test_miss_executes_and_matches_direct(self, tmp_path):
         train, test = _tiny_factory()
